@@ -1,21 +1,15 @@
 """Performance benchmark: frozen matcher artifacts.
 
 Mines the benchmark corpus once, freezes the trained namer into the
-mmap blob (``repro.mining.frozen``), and measures the three wins the
+mmap blob (``repro.mining.frozen``), and measures the two wins the
 frozen tier exists for:
 
-1. **Serial match phase.** ``detect_many`` over the whole prepared
-   corpus with the vectorized batch walk (``use_frozen=True``, the
-   default) against the scalar single-statement walk
-   (``use_frozen=False``).  Report JSON must be byte-identical — that
-   assertion is the hard invariant — and the batch walk must beat the
-   scalar walk by ``REPRO_BENCH_MIN_FROZEN_SPEEDUP`` (default 2x).
-2. **Cold start.** ``load_frozen_namer`` (zero-copy mmap) against the
+1. **Cold start.** ``load_frozen_namer`` (zero-copy mmap) against the
    JSON ``load_namer`` decode of the same artifact, best-of-N; floor
    ``REPRO_BENCH_MIN_COLDSTART_SPEEDUP`` (default 10x).  The loaded
    namer must re-encode to the exact bytes of the JSON artifact's
    document — damage-is-a-miss only works if the blob is lossless.
-3. **N-replica memory.** A real 2-replica cluster serving the frozen
+2. **N-replica memory.** A real 2-replica cluster serving the frozen
    blob: per-replica ``VmRSS`` from ``/proc`` plus the startup metrics
    the replicas report (``startup_seconds``/``artifact_load_seconds``/
    ``artifact_source``).  Recorded, not enforced — RSS depends on the
@@ -80,24 +74,6 @@ def _merge_record(record: dict) -> None:
     BENCH_OUT.write_text(json.dumps(prior, indent=2) + "\n")
 
 
-def _detect_arm(namer) -> tuple[str, float]:
-    """Report blob plus best-of-ROUNDS serial match seconds."""
-    from repro.parallel.profiler import PhaseProfiler
-
-    blob = ""
-    best = None
-    for _ in range(ROUNDS):
-        profiler = PhaseProfiler()
-        groups = namer.detect_many(list(namer.prepared), profiler=profiler)
-        blob = json.dumps(
-            [[r.to_json() for r in g] for g in groups], sort_keys=True
-        )
-        rows = {r["phase"]: r["seconds"] for r in profiler.to_json()}
-        if best is None or rows["match"] < best:
-            best = rows["match"]
-    return blob, best
-
-
 def _vm_rss_kb(pid: int) -> int | None:
     try:
         text = pathlib.Path(f"/proc/{pid}/status").read_text()
@@ -111,7 +87,6 @@ def _vm_rss_kb(pid: int) -> int | None:
 
 def test_frozen_speedups(trained):
     namer, artifact, frozen_path, summary = trained
-    min_match = float(os.environ.get("REPRO_BENCH_MIN_FROZEN_SPEEDUP", "2.0"))
     min_cold = float(
         os.environ.get("REPRO_BENCH_MIN_COLDSTART_SPEEDUP", "10.0")
     )
@@ -124,30 +99,7 @@ def test_frozen_speedups(trained):
     }
     advisories: list[str] = []
 
-    # 1. serial match phase: batch walk vs scalar walk, identical bytes
-    assert namer.matcher.use_frozen
-    batch_blob, batch_seconds = _detect_arm(namer)
-    namer.matcher.use_frozen = False
-    try:
-        scalar_blob, scalar_seconds = _detect_arm(namer)
-    finally:
-        namer.matcher.use_frozen = True
-    assert batch_blob == scalar_blob, (
-        "batch-walk reports must be byte-identical to the scalar walk"
-    )
-    match_speedup = scalar_seconds / max(batch_seconds, 1e-9)
-    record["match"] = {
-        "files": len(namer.prepared),
-        "scalar_seconds": round(scalar_seconds, 3),
-        "batch_seconds": round(batch_seconds, 3),
-        "speedup": round(match_speedup, 2),
-    }
-    if match_speedup < min_match:
-        advisories.append(
-            f"match speedup {match_speedup:.2f}x < {min_match}x floor"
-        )
-
-    # 2. cold start: mmap load vs JSON decode, lossless re-encode
+    # 1. cold start: mmap load vs JSON decode, lossless re-encode
     json_seconds = min(
         _timed(lambda: load_namer(artifact)) for _ in range(ROUNDS)
     )
@@ -171,7 +123,7 @@ def test_frozen_speedups(trained):
             f"cold-start speedup {cold_speedup:.2f}x < {min_cold}x floor"
         )
 
-    # 3. replica fleet: per-replica RSS + the startup metrics satellite
+    # 2. replica fleet: per-replica RSS + the startup metrics
     server = serve_cluster(
         str(artifact), port=0, replicas=REPLICAS, replica_workers=2
     )
@@ -211,17 +163,11 @@ def test_frozen_speedups(trained):
         "Performance — frozen matcher artifacts",
         f"blob: {summary['bytes'] / 1024:.0f} kB "
         f"({summary['arrays']} arrays, {summary['patterns']} patterns)\n"
-        f"match:      {scalar_seconds:.3f} s -> {batch_seconds:.3f} s "
-        f"({match_speedup:.2f}x)\n"
         f"cold start: {json_seconds * 1000:.1f} ms -> "
         f"{cold_best * 1000:.1f} ms ({cold_speedup:.2f}x)\n"
         f"replica RSS ({REPLICAS} frozen replicas): {rss}",
     )
     if enforce:
-        assert match_speedup >= min_match, (
-            f"batch walk speedup {match_speedup:.2f}x below the "
-            f"{min_match}x floor"
-        )
         assert cold_speedup >= min_cold, (
             f"cold-start speedup {cold_speedup:.2f}x below the "
             f"{min_cold}x floor"

@@ -128,7 +128,10 @@ class _Extractor:
     def __init__(self) -> None:
         self.facts = FileFacts()
         self.seen_functions: list[str] = []
-        self.known_functions: set[str] = set()
+        #: qualified function names in definition order (a dict, not a
+        #: set: method resolution takes the first match, which must not
+        #: depend on the string hash seed)
+        self.known_functions: dict[str, None] = {}
         self._site_counter = 0
         self._heap_counter = 0
         #: statement index currently being visited (for def sites)
@@ -154,7 +157,7 @@ class _Extractor:
             elif child.kind in ("FunctionDef", "MethodDecl"):
                 fname = _func_name(child)
                 qualified = f"{class_name}.{fname}" if class_name else fname
-                self.known_functions.add(qualified)
+                self.known_functions[qualified] = None
                 self._collect_functions(child, class_name)
             else:
                 self._collect_functions(child, class_name)
@@ -473,7 +476,8 @@ class _Extractor:
         """Resolve a call to a function defined in the same file."""
         if callee_name in self.known_functions:
             return callee_name
-        # Method call: resolve by name within the file's classes.
+        # Method call: resolve by name within the file's classes; the
+        # first-defined method of that name wins.
         if callee.kind in ("AttributeLoad", "FieldAccess") and callee.children:
             for fn in self.known_functions:
                 if fn.endswith("." + callee_name):

@@ -47,11 +47,7 @@ from repro.core.transform import TransformConfig
 from repro.corpus.model import Corpus, Repository
 from repro.mining.confusing_pairs import ConfusingPairStore, mine_confusing_pairs
 from repro.mining.interner import INTERNER_SCHEMA, PathInterner
-from repro.mining.matcher import (
-    PatternMatcher,
-    prefix_frequencies,
-    prefix_frequencies_ids,
-)
+from repro.mining.matcher import PatternMatcher, prefix_frequencies_ids
 from repro.mining.miner import MiningConfig, PatternMiner
 from repro.ml.linear import LinearSVM
 from repro.ml.pipeline import ClassifierPipeline
@@ -406,11 +402,7 @@ class Namer:
         # Anchor each pattern at its rarest prefix as measured over the
         # corpus it was mined from — the stats pass and all subsequent
         # detection reuse this selectivity-tuned index, with the corpus
-        # interner attached so every later scan reads ID tables.  The
-        # interned frequency table matches prefix_frequencies(paths)
-        # key-for-key: symbolic IDs are assigned in first-occurrence
-        # order of their concrete paths, which is exactly the order the
-        # object pass first meets each prefix.
+        # interner attached so every later scan reads ID tables.
         self.matcher = PatternMatcher(
             patterns,
             prefix_counts=prefix_frequencies_ids(id_lists, interner),
@@ -418,9 +410,9 @@ class Namer:
         )
 
         with profiler.phase("stats", items=len(statements)):
-            # The statistics index and the summary's violation scan are
-            # both pure functions of (prepared files, mined patterns).
-            # With an aligned shard plan the index is cached per
+            # The statistics index and the summary's violation tallies
+            # are both pure functions of (prepared files, mined
+            # patterns).  With an aligned shard plan they are cached per
             # statement shard — a one-file edit re-counts only that
             # file's shard — and merged in shard order, which keeps the
             # counter ordering (and so the serialized artifact)
@@ -472,27 +464,30 @@ class Namer:
                     cache.put(
                         "stats", merged_key, (self.stats, violation_counts)
                     )
-            elif cache is not None:
-                # No aligned shard plan (a span split a file): fall back
-                # to one corpus-wide entry keyed by every file key.
-                stats_key = ContentCache.key(
-                    fingerprint_of(file_keys),
-                    fingerprint_of(
-                        pattern_fingerprint(p) for p in patterns
-                    ),
-                )
-                stats_entry = cache.get("stats", stats_key)
-                if stats_entry is None:
-                    self.stats = self._build_stats()
-                    violation_counts = self._violation_counts()
-                    cache.put(
-                        "stats", stats_key, (self.stats, violation_counts)
-                    )
-                else:
-                    self.stats, violation_counts = stats_entry
             else:
-                self.stats = self._build_stats()
-                violation_counts = self._violation_counts()
+                stats_key = None
+                stats_entry = None
+                if cache is not None:
+                    # No aligned shard plan (a span split a file): one
+                    # corpus-wide entry keyed by every file key.
+                    stats_key = ContentCache.key(
+                        fingerprint_of(file_keys),
+                        fingerprint_of(
+                            pattern_fingerprint(p) for p in patterns
+                        ),
+                    )
+                    stats_entry = cache.get("stats", stats_key)
+                if stats_entry is None:
+                    index, stmts_with, files_with, repos_with = (
+                        self._stats_shard(self.prepared)
+                    )
+                    stats_entry = (
+                        index,
+                        (stmts_with, len(files_with), len(repos_with)),
+                    )
+                    if cache is not None:
+                        cache.put("stats", stats_key, stats_entry)
+                self.stats, violation_counts = stats_entry
         self.summary = self._summarize(
             consistency, confusing, corpus, violation_counts
         )
@@ -501,70 +496,35 @@ class Namer:
             self.summary.cache_stats = cache.stats_json()
         return self.summary
 
-    def _build_stats(self) -> StatsIndex:
-        """One-pass global statistics index over the prepared corpus."""
-        assert self.matcher is not None
-        return StatsIndex.build(
-            self.matcher,
-            (
-                (ps.stmt, ps.paths)
-                for pf in self.prepared
-                for ps in pf.statements
-            ),
-        )
-
     def _stats_shard(
         self, prepared_files: list
     ) -> tuple[StatsIndex, int, set, set]:
-        """Shard-local statistics plus the violation-scan partials that
-        merge into :meth:`_violation_counts`' tallies: (index, violating
-        statement count, violating file paths, violating repo names)."""
+        """Statistics over some prepared files plus the summary's
+        violation partials: (index, violating statement count,
+        violating file paths, violating repo names), both fed by one
+        fused batch scan over the files' interned statements."""
         assert self.matcher is not None
         matcher = self.matcher
-        # Resolve each statement's interned IDs once and reuse them for
-        # both scans below (the stats build and the violation tally).
-        file_entries = [
-            [
-                (ps.stmt, ps.paths, matcher.prepare_ids(ps.paths))
-                for ps in pf.statements
-            ]
+        entries = [
+            (ps.stmt, ps.paths, matcher.prepare_ids(ps.paths))
             for pf in prepared_files
+            for ps in pf.statements
         ]
-        index = StatsIndex.build(
-            matcher,
-            (entry for entries in file_entries for entry in entries),
-        )
+        viol_rows, rel_rows = matcher.scan_entries(entries)
         stmts_with = 0
         files_with = set()
         repos_with = set()
-        for pf, entries in zip(prepared_files, file_entries):
-            file_hit = False
-            for stmt, paths, ids in entries:
-                if matcher.violations(stmt, paths, ids):
-                    stmts_with += 1
-                    file_hit = True
-            if file_hit:
+        pos = 0
+        for pf in prepared_files:
+            end = pos + len(pf.statements)
+            hits = sum(1 for row in viol_rows[pos:end] if row)
+            if hits:
+                stmts_with += hits
                 files_with.add(pf.path)
                 repos_with.add(pf.repo)
+            pos = end
+        index = StatsIndex.build_from_relations(matcher, entries, rel_rows)
         return index, stmts_with, files_with, repos_with
-
-    def _violation_counts(self) -> tuple[int, int, int]:
-        """Scan the mined corpus for the summary's violation tallies:
-        (statements, files, repos) with at least one violation."""
-        assert self.matcher is not None
-        files_with = set()
-        repos_with = set()
-        stmts_with = 0
-        for pf in self.prepared:
-            file_hit = False
-            for ps in pf.statements:
-                if self.matcher.violations(ps.stmt, ps.paths):
-                    stmts_with += 1
-                    file_hit = True
-            if file_hit:
-                files_with.add(pf.path)
-                repos_with.add(pf.repo)
-        return stmts_with, len(files_with), len(repos_with)
 
     def _summarize(
         self,
@@ -829,8 +789,7 @@ class Namer:
 
         Two timed stages per file, reported as separate profiler rows:
         ``extract`` resolves each statement's paths to interned IDs
-        (one dict probe per path; ``None`` rows when the matcher has no
-        interner), ``match`` scans those IDs through the automaton for
+        (one dict probe per path), ``match`` scans those IDs through the automaton for
         violations and the file-local statistics index.
         """
         matcher = self.matcher
@@ -1038,38 +997,29 @@ def _dedup_violations(violations: list[Violation]) -> list[Violation]:
 
 def _match_file(matcher, entries):
     """The match half of one file's detect pass: deduped violations plus
-    the file-local statistics index.
+    the file-local statistics index, from one fused scan.
 
-    With :attr:`PatternMatcher.use_frozen` the fused scan walks every
-    statement once (vectorized for fully-interned statements) and feeds
-    both the violation list and the statistics build from the same
-    relation rows; the legacy path scans twice (``violations`` then
-    ``StatsIndex.build``).  Outputs are byte-identical either way — the
-    differential suite in ``tests/test_frozen.py`` pins it.
+    When every statement is fully interned, relation counts come back
+    pre-aggregated per pattern index (no per-relation tuples) and the
+    lazy view defers key-keyed lookup tables to the (rare) files whose
+    violations actually get featurized.  A file holding paths the
+    capped serve-time interner refused takes the scalar scan for those
+    statements and a built index.
     """
-    if getattr(matcher, "use_frozen", False) and matcher._automaton is not None:
-        scanned = matcher.scan_entries_stats(entries)
-        if scanned is not None:
-            # every statement fully interned: relation counts come back
-            # pre-aggregated per pattern index, no per-relation tuples,
-            # and the lazy view defers key-keyed lookup tables to the
-            # (rare) files whose violations actually get featurized
-            viol_rows, aggregates = scanned
-            found = [v for row in viol_rows for v in row]
-            return (
-                _dedup_violations(found),
-                FileStatsView(matcher, entries, aggregates),
-            )
-        viol_rows, rel_rows = matcher.scan_entries(entries)
+    scanned = matcher.scan_entries_stats(entries)
+    if scanned is not None:
+        viol_rows, aggregates = scanned
         found = [v for row in viol_rows for v in row]
         return (
             _dedup_violations(found),
-            StatsIndex.build_from_relations(matcher, entries, rel_rows),
+            FileStatsView(matcher, entries, aggregates),
         )
-    found = []
-    for stmt, paths, ids in entries:
-        found.extend(matcher.violations(stmt, paths, ids))
-    return _dedup_violations(found), StatsIndex.build(matcher, entries)
+    viol_rows, rel_rows = matcher.scan_entries(entries)
+    found = [v for row in viol_rows for v in row]
+    return (
+        _dedup_violations(found),
+        StatsIndex.build_from_relations(matcher, entries, rel_rows),
+    )
 
 
 def _detect_shard(task):

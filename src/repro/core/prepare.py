@@ -82,7 +82,28 @@ def prepare_file_checked(
     max_paths: int = 10,
 ) -> PreparedFile:
     """Parse, analyze and transform one file; raises :class:`PrepareError`
-    with the failing stage on any per-file problem."""
+    with the failing stage on any per-file problem.
+
+    Input too deep or too large for the recursive parse and tree walks
+    (``RecursionError``, ``MemoryError``, at whichever stage) fails with
+    stage ``"limits"``.
+    """
+    try:
+        return _prepare_stages(
+            source, repo, use_analysis, transform_config, pointsto_config, max_paths
+        )
+    except (RecursionError, MemoryError) as exc:
+        raise PrepareError(source.path, "limits", exc) from exc
+
+
+def _prepare_stages(
+    source: SourceFile,
+    repo: str,
+    use_analysis: bool,
+    transform_config: TransformConfig,
+    pointsto_config: PointsToConfig,
+    max_paths: int,
+) -> PreparedFile:
     try:
         fault_check("corpus.prepare_file", key=source.path)
         module = parse_source(source.source, source.language, source.path, repo)
@@ -94,7 +115,7 @@ def prepare_file_checked(
             origins = compute_origins(module, pointsto_config).per_statement
         else:
             origins = [None] * len(module.statements)
-    except (ValueError, KeyError, RecursionError, InjectedFault) as exc:
+    except (ValueError, KeyError, InjectedFault) as exc:
         raise PrepareError(source.path, "analyze", exc) from exc
 
     try:
@@ -106,7 +127,7 @@ def prepare_file_checked(
                 prepared.statements.append(
                     PreparedStatement(stmt=transformed, paths=paths)
                 )
-    except (ValueError, KeyError, RecursionError, InjectedFault) as exc:
+    except (ValueError, KeyError, InjectedFault) as exc:
         raise PrepareError(source.path, "transform", exc) from exc
     return prepared
 

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.namepath import NamePath
 from repro.core.patterns import NamePattern, Relation
 from repro.lang.astir import StatementAst
 from repro.mining.matcher import PatternMatcher
@@ -55,10 +54,10 @@ class StatsIndex:
         """Scan ``(statement, paths)`` pairs — or ``(statement, paths,
         ids)`` triples when the caller already resolved the statement's
         interned path IDs — and accumulate all counters."""
-        index = cls()
-        for entry in statements:
-            index.add_statement(matcher, *entry)
-        return index
+        entries = list(statements)
+        return cls.build_from_relations(
+            matcher, entries, [matcher.relations(*entry[1:]) for entry in entries]
+        )
 
     @classmethod
     def build_from_relations(
@@ -68,28 +67,23 @@ class StatsIndex:
         relation_rows: Iterable[Sequence[tuple[int, Relation]]],
     ) -> "StatsIndex":
         """:meth:`build` from pre-computed relation lists (one
-        ``(pattern index, relation)`` list per statement, in candidate
-        order — the second half of a fused detect scan).  All
-        statements must come from one prepared file (one file path, one
-        repo) — that is what :func:`~repro.core.namer._match_file`
-        passes.  Bump order, and therefore counter insertion order and
-        serialized bytes, are identical to re-scanning each statement.
+        ``(pattern index, relation)`` list per statement, in match
+        order — the relation half of a fused scan).  Counter values and
+        insertion order, and therefore serialized bytes, are identical
+        to re-scanning each statement.
 
-        Counts aggregate per pattern *index* first — integer dict keys —
-        and the expensive ``pattern.key()``-keyed counters are bumped
-        once per (scope, pattern, table) instead of once per relation.
-        Each table keeps its own first-bump pattern order, so counter
-        insertion order (what re-scanning would have produced) is
-        preserved exactly.
+        Counts aggregate per (file, repo, pattern index) first — cheap
+        keys — and the expensive ``pattern.key()``-keyed counters are
+        bumped once per aggregate instead of once per relation.  Each
+        table keeps its own first-bump order, which is the order a
+        per-statement build inserts every file, repo and dataset key.
         """
         index = cls()
         patterns = matcher.patterns
-        file_path = None
-        repo = None
-        # first-bump-ordered {pattern index -> count} per table
-        agg_m: dict[int, int] = {}
-        agg_s: dict[int, int] = {}
-        agg_v: dict[int, int] = {}
+        # first-bump-ordered {(file path, repo, pattern index) -> count}
+        # per table: matches, satisfactions, violations
+        aggs: tuple[dict, dict, dict] = ({}, {}, {})
+        agg_m, agg_s, agg_v = aggs
         for entry, rels in zip(statements, relation_rows):
             stmt = entry[0]
             index.total_statements += 1
@@ -99,21 +93,21 @@ class StatsIndex:
             index.statement_counts["file"][(file_path, struct)] += 1
             index.statement_counts["repo"][(repo, struct)] += 1
             for pat_idx, relation in rels:
-                agg_m[pat_idx] = agg_m.get(pat_idx, 0) + 1
-                if relation is Relation.SATISFIED:
-                    agg_s[pat_idx] = agg_s.get(pat_idx, 0) + 1
-                else:
-                    agg_v[pat_idx] = agg_v.get(pat_idx, 0) + 1
-        for agg, table in (
-            (agg_m, index.matches),
-            (agg_s, index.satisfactions),
-            (agg_v, index.violations),
+                scoped = (file_path, repo, pat_idx)
+                agg_m[scoped] = agg_m.get(scoped, 0) + 1
+                agg = agg_s if relation is Relation.SATISFIED else agg_v
+                agg[scoped] = agg.get(scoped, 0) + 1
+        keys: dict[int, tuple] = {}
+        for agg, table in zip(
+            aggs, (index.matches, index.satisfactions, index.violations)
         ):
             file_counter = table["file"]
             repo_counter = table["repo"]
             dataset_counter = table["dataset"]
-            for pat_idx, count in agg.items():
-                key = patterns[pat_idx].key()
+            for (file_path, repo, pat_idx), count in agg.items():
+                key = keys.get(pat_idx)
+                if key is None:
+                    key = keys[pat_idx] = patterns[pat_idx].key()
                 file_counter[(file_path, key)] += count
                 repo_counter[(repo, key)] += count
                 dataset_counter[key] += count
@@ -138,30 +132,6 @@ class StatsIndex:
                 merged.statement_counts[level].update(counter)
             merged.total_statements += index.total_statements
         return merged
-
-    def add_statement(
-        self,
-        matcher: PatternMatcher,
-        stmt: StatementAst,
-        paths: Sequence[NamePath],
-        ids: Sequence[int] | None = None,
-    ) -> None:
-        self.total_statements += 1
-        struct = stmt.structural_key()
-        self.statement_counts["file"][(stmt.file_path, struct)] += 1
-        self.statement_counts["repo"][(stmt.repo, struct)] += 1
-        for pattern, relation in matcher.check_all(paths, ids):
-            key = pattern.key()
-            self._bump(self.matches, key, stmt)
-            if relation is Relation.SATISFIED:
-                self._bump(self.satisfactions, key, stmt)
-            else:
-                self._bump(self.violations, key, stmt)
-
-    def _bump(self, table: dict[str, Counter], key, stmt: StatementAst) -> None:
-        table["file"][(stmt.file_path, key)] += 1
-        table["repo"][(stmt.repo, key)] += 1
-        table["dataset"][key] += 1
 
     # ------------------------------------------------------------------
     # Queries used by the feature extractor

@@ -1,45 +1,43 @@
 """A compiled matching automaton over an entire pattern set.
 
-The anchor index of :mod:`repro.mining.matcher` made candidate *lookup*
-cheap, but every surviving candidate still paid a full
-``check_pattern``: one prefix-tuple hash per condition and deduction
-path, against a per-statement dict rebuilt for every scan.  Profiling
-shows essentially every candidate the selectivity index admits really
-does match, so the per-candidate check — not the candidate count — is
-the serial match phase.
-
-:class:`MatchAutomaton` compiles the whole pattern set once:
+Checking every pattern against a statement with ``check_pattern`` costs
+one prefix-tuple hash per condition and deduction path, against a
+per-statement dict rebuilt for every scan.  :class:`MatchAutomaton`
+compiles the whole pattern set once:
 
 * **Shared trie.**  Every condition and deduction prefix of every
   pattern is inserted into one trie keyed by :class:`PathStep`; a
-  prefix is a node id.  Matching a statement walks each of its paths
-  through the trie exactly once — the per-statement cost is one trie
-  descent per path, independent of how many patterns are loaded.
+  prefix is a node id.  Matching a statement visits each of its paths
+  once — the per-statement cost is independent of how many patterns
+  are loaded.
 * **Per-node bitmask guards.**  Each node carries the OR of the
   step-kind bits along its prefix; a statement's available mask is
   accumulated during the walk and candidates missing a required bit
-  are dropped with one AND (the same guard semantics the legacy
-  matcher applies, computed as a by-product of the walk).
-* **Pattern-id accept sets.**  Each pattern is anchored (same
-  rarest-prefix rule as the legacy index) at one deduction prefix; the
-  anchor's trie node holds the accept set of pattern ids to consider
-  when a statement path ends exactly there.
+  are dropped with one AND.
+* **Pattern-id accept sets.**  Each pattern is anchored at its rarest
+  deduction prefix; the anchor's trie node holds the accept set of
+  pattern ids to consider when a statement path ends exactly there.
 * **Integer-domain relation checks.**  Conditions and deductions are
   pre-resolved to ``(node id, interned end-token id)`` pairs at build
   time, so completing a candidate is a handful of integer array reads —
   an inlined, pre-resolved ``check_pattern`` with exactly its
-  semantics (the differential suite in ``tests/test_automaton.py``
-  pins byte-identical output against the legacy path).
+  semantics (``tests/oracle.py`` runs ``check_pattern`` itself as the
+  reference).
+* **Interned paths.**  Statements arrive as dense path IDs from an
+  attached :class:`~repro.mining.interner.PathInterner`; each
+  vocabulary entry is resolved against the trie once, so a scan reads
+  table rows instead of descending the trie.  The vectorized batch walk
+  scans whole files (or corpus shards) in one pass.
 
-**Order-pinning invariant.**  Surviving candidates are emitted in the
-historical order — (statement-path position of the first occurrence of
-the pattern's lexicographically smallest deduction prefix, pattern
-index) — so statistics counters, artifacts, reports, and quarantine
-records are byte-identical to the legacy matcher for any worker count,
-start method, or cache temperature.  Scans record the *first*
-occurrence position of a prefix (ordering) but the *last* occurrence's
-end token (lookup), mirroring ``paths_by_prefix`` where a later
-duplicate prefix overwrites an earlier one.
+**Order-pinning invariant.**  Matches are emitted in the order
+(statement-path position of the first occurrence of the pattern's
+lexicographically smallest deduction prefix, pattern index), so
+statistics counters, artifacts, reports, and quarantine records are
+identical for any worker count, start method, or cache temperature.
+Scans record the *first* occurrence position of a prefix (ordering) but
+the *last* occurrence's end token (lookup), mirroring
+``paths_by_prefix`` where a later duplicate prefix overwrites an
+earlier one.
 
 The automaton is picklable (scan scratch arrays are dropped and
 rebuilt lazily) so one compiled structure ships to a worker pool once
@@ -169,7 +167,7 @@ class MatchAutomaton:
         self._node_prefix: list[tuple[PathStep, ...]] = [()]
         self._step_bits: dict[str, int] = {}
         #: concrete condition end token -> guard bit (statement ends
-        #: only *look up* here, as in the legacy matcher)
+        #: only *look up* here)
         self._end_bits: dict[str, int] = {}
         self._num_bits = 0
         #: end token -> interned id for integer equality checks
@@ -229,9 +227,12 @@ class MatchAutomaton:
         return tid
 
     def _compile(self, pattern: NamePattern) -> None:
+        # Sorted, not frozenset order: symbolic paths hash through
+        # ``hash(None)``, which varies per process, and node numbering
+        # (and with it every frozen-blob array) follows this order.
         mask = 0
         conds: list[tuple[int, int]] = []
-        for c in pattern.condition:
+        for c in sorted(pattern.condition):
             node = self._insert(c.prefix)
             mask |= self._node_mask[node]
             if c.end is None:
@@ -246,7 +247,7 @@ class MatchAutomaton:
             conds.append((node, tid))
         deds: list[int] = []
         ded_prefixes: list[tuple[PathStep, ...]] = []
-        for d in pattern.deduction:
+        for d in sorted(pattern.deduction):
             node = self._insert(d.prefix)
             mask |= self._node_mask[node]
             count = self._ded_node_counts.get(node)
@@ -275,7 +276,8 @@ class MatchAutomaton:
     def deduction_prefix_counts(self) -> Counter[tuple[PathStep, ...]]:
         """Deduction-prefix occurrences across the compiled pattern set,
         read off the trie's accept-node counters — value- and key-order-
-        identical to counting ``d.prefix`` over the patterns directly.
+        identical to counting ``d.prefix`` over each pattern's sorted
+        deductions in pattern order.
         The fallback rarity table for anchor choice on artifact loads,
         where no corpus frequency table exists."""
         counts: Counter[tuple[PathStep, ...]] = Counter()
@@ -285,9 +287,9 @@ class MatchAutomaton:
 
     def finalize(self, rarity) -> None:
         """Assign every pattern's accept set to its anchor node: the
-        rarest deduction prefix under ``rarity`` (ties lexicographic) —
-        the exact anchor rule of the legacy index.  Anchor choice can
-        change candidate-list length but never output."""
+        rarest deduction prefix under ``rarity`` (ties lexicographic).
+        Anchor choice can change candidate-list length but never
+        output."""
         self._accepts = {}
         get = rarity.get
         for idx, prefixes in enumerate(self._ded_prefixes):
@@ -316,7 +318,7 @@ class MatchAutomaton:
         lazily as the vocabulary grows.
 
         ``cap`` bounds serve-time vocabulary growth: unknown paths past
-        it scan through the legacy trie walk instead of interning
+        it are walked through the trie inline instead of interning
         (default: twice the attached vocabulary, with a floor, so a
         long-lived service memoizes real traffic but hostile input
         cannot grow the table forever).  Re-attaching the same interner
@@ -347,15 +349,13 @@ class MatchAutomaton:
         self._fold_ids: dict[str, int] = {"": 0}
         self._pid_np = None
 
-    def ids_of(self, paths: Sequence[NamePath]) -> list[int] | None:
+    def ids_of(self, paths: Sequence[NamePath]) -> list[int]:
         """Pre-resolve a statement's paths to interned IDs (``-1`` for
         paths the capped interner refuses), extending the per-ID tables
-        to cover the result; ``None`` without an attached interner.
-        The ``extract`` half of a detect scan — hand the result to
-        :meth:`relations` / :meth:`violations` as ``ids``."""
+        to cover the result.  The ``extract`` half of a detect scan —
+        hand the result to :meth:`relations` / :meth:`violations` as
+        ``ids``."""
         interner = self._interner
-        if interner is None:
-            return None
         cap = self._intern_cap
         intern = interner.intern_capped
         ids = [intern(path, cap) for path in paths]
@@ -367,9 +367,9 @@ class MatchAutomaton:
 
     def _extend_pid_tables(self) -> None:
         """Resolve vocabulary entries ``len(tables)..len(interner)-1``
-        against the trie.  Values mirror exactly what one legacy scan
-        step computes for the same path — the scan loops then agree
-        byte-for-byte whichever branch handled a path."""
+        against the trie.  Values mirror exactly what the inline trie
+        walk in :meth:`_scan_ids` computes for the same path, so a scan
+        agrees byte-for-byte whichever branch handled a path."""
         if not hasattr(self, "_pid_node"):
             self._reset_pid_tables()
         pid_node = self._pid_node
@@ -438,95 +438,18 @@ class MatchAutomaton:
         self._pat_stamp = [0] * len(self.patterns)
         self._scan_ready = True
 
-    def _scan(self, paths: Sequence[NamePath]) -> list[int]:
-        """Walk every statement path through the trie once and return
-        the surviving candidate pattern ids in the pinned historical
-        order.  Stamp arrays stay valid (for the relation checks) until
-        the next scan."""
-        if not self._scan_ready:
-            self._prepare_scan()
-        if not self._finalized:
-            raise RuntimeError("finalize() must run before matching")
-        gen = self._gen + 1
-        self._gen = gen
-        children = self._children
-        stamp = self._stamp
-        posa = self._pos
-        enda = self._end
-        tida = self._tid
-        folda = self._folded
-        node_mask = self._node_mask
-        end_bits = self._end_bits
-        end_tid = self._end_tid
-        accepts = self._accepts
-        pat_stamp = self._pat_stamp
-        stmt_mask = 0
-        cand: list[int] = []
-        for pos, path in enumerate(paths):
-            node = 0
-            for step in path.prefix:
-                nxt = children[node].get(step)
-                if nxt is None:
-                    node = -1
-                    break
-                node = nxt
-            end = path.end
-            if end is not None:
-                bit = end_bits.get(end)
-                if bit is not None:
-                    stmt_mask |= bit
-            if node < 0:
-                continue
-            stmt_mask |= node_mask[node]
-            # First occurrence pins the ordering position; the last
-            # occurrence's end wins the lookup (paths_by_prefix parity).
-            if stamp[node] != gen:
-                stamp[node] = gen
-                posa[node] = pos
-            enda[node] = end
-            if end is not None:
-                tida[node] = end_tid.get(end, _TID_UNKNOWN)
-                folda[node] = end.casefold()
-            else:
-                tida[node] = _TID_UNKNOWN
-                folda[node] = ""
-            bucket = accepts.get(node)
-            if bucket is not None:
-                for idx in bucket:
-                    if pat_stamp[idx] != gen:
-                        pat_stamp[idx] = gen
-                        cand.append(idx)
-        if not cand:
-            return cand
-        req_masks = self._req_masks
-        order_node = self._order_node
-        ordered: list[tuple[int, int]] = []
-        for idx in cand:
-            required = req_masks[idx]
-            if required & stmt_mask != required:
-                continue
-            onode = order_node[idx]
-            if stamp[onode] != gen:
-                # The ordering prefix is a deduction prefix; absence
-                # proves NO_MATCH.
-                continue
-            ordered.append((posa[onode], idx))
-        ordered.sort()
-        return [idx for _, idx in ordered]
-
     def _scan_ids(
         self, ids: Sequence[int], paths: Sequence[NamePath]
     ) -> list[int]:
-        """:meth:`_scan` in the ID domain: each non-negative ID is one
-        set of table reads instead of a trie descent; a ``-1`` (path
-        the capped interner refused) falls back to the legacy walk of
-        ``paths[pos]`` inline.  Every scratch write mirrors ``_scan``
-        exactly, so the relation checks and candidate order agree
-        byte-for-byte whichever loop scanned the statement."""
+        """Walk a statement's interned paths once and return the
+        surviving candidate pattern ids in the pinned order.  Each
+        non-negative ID is one set of table reads; a ``-1`` (a path the
+        capped interner refused) walks ``paths[pos]`` through the trie
+        inline, writing exactly the scratch values its table row would
+        hold.  Stamp arrays stay valid (for the relation checks) until
+        the next scan."""
         if not self._scan_ready:
             self._prepare_scan()
-        if not self._finalized:
-            raise RuntimeError("finalize() must run before matching")
         pid_node = getattr(self, "_pid_node", None)
         if pid_node is None or len(pid_node) < len(self._interner):
             self._extend_pid_tables()
@@ -557,6 +480,9 @@ class MatchAutomaton:
                 if node < 0:
                     continue
                 stmt_mask |= node_mask[node]
+                # First occurrence pins the ordering position; the last
+                # occurrence's end wins the lookup (paths_by_prefix
+                # parity).
                 if stamp[node] != gen:
                     stamp[node] = gen
                     posa[node] = pos
@@ -642,9 +568,9 @@ class MatchAutomaton:
         ids: Sequence[int] | None = None,
     ) -> list[tuple[int, Relation]]:
         """``(pattern index, relation)`` for every matching pattern, in
-        the pinned candidate order; NO_MATCH candidates are dropped —
-        exactly what the legacy ``check_all`` yields.  Pass pre-resolved
-        ``ids`` (from :meth:`ids_of`) to scan in the ID domain."""
+        the pinned candidate order; NO_MATCH candidates are dropped.
+        Pass pre-resolved ``ids`` (from :meth:`ids_of`) to skip the
+        resolution."""
         out: list[tuple[int, Relation]] = []
         relation = self._relation
         candidates = self._candidates(paths, ids)
@@ -658,30 +584,11 @@ class MatchAutomaton:
     def _candidates(
         self, paths: Sequence[NamePath], ids: Sequence[int] | None
     ) -> list[int]:
-        """Scan dispatch: the ID loop when the caller pre-resolved IDs
-        *or* an interner is attached (resolved inline — one dict read
-        per path replaces a trie descent), the legacy loop otherwise."""
+        if not self._finalized:
+            raise RuntimeError("finalize() must run before matching")
         if ids is None:
-            if self._interner is None:
-                return self._scan(paths)
             ids = self.ids_of(paths)
         return self._scan_ids(ids, paths)
-
-    def relations_ids(self, ids: Sequence[int]) -> list[tuple[int, Relation]]:
-        """:meth:`relations` for a fully-interned statement (every ID
-        non-negative — the corpus-mining case, where the interner covers
-        the whole corpus by construction).  ``ids`` should be a plain
-        list; callers holding numpy arrays convert with ``.tolist()``
-        once so the hot loop reads native ints."""
-        out: list[tuple[int, Relation]] = []
-        relation = self._relation
-        candidates = self._scan_ids(ids, ())
-        gen = self._gen
-        for idx in candidates:
-            rel = relation(idx, gen)
-            if rel is not _NO_MATCH:
-                out.append((idx, rel))
-        return out
 
     def _violation_for(self, idx: int, stmt: StatementAst) -> Violation:
         """Build the Violation for a VIOLATED candidate from the current
@@ -713,8 +620,8 @@ class MatchAutomaton:
         paths: Sequence[NamePath],
         ids: Sequence[int] | None = None,
     ) -> list[Violation]:
-        """All pattern violations of one statement, byte-identical to
-        running ``find_violation`` over the legacy candidate order."""
+        """All pattern violations of one statement, in the pinned
+        order — ``find_violation`` for every VIOLATED relation."""
         found: list[Violation] = []
         relation = self._relation
         candidates = self._candidates(paths, ids)
@@ -1032,7 +939,7 @@ class MatchAutomaton:
     def relations_batch(
         self, id_rows: Sequence[Sequence[int]]
     ) -> list[list[tuple[int, Relation]]]:
-        """:meth:`relations_ids` for many fully-interned statements in
+        """:meth:`relations` for many fully-interned statements in
         one vectorized pass — one ``(pattern index, relation)`` list per
         input row, each in the pinned candidate order."""
         rows: list[list[tuple[int, Relation]]] = [[] for _ in id_rows]

@@ -12,14 +12,13 @@ paths always come last in a transaction, so every ``is_last`` node's
 final one or two visited paths are the deduction.
 
 The tree is agnostic to what a transaction item *is* — nodes key
-children by the item value.  The legacy miner inserts
-:class:`~repro.core.namepath.NamePath` objects; the interned backend
-(``PatternMiner(use_interner=True)``, the default) inserts dense
-``int`` IDs from :class:`repro.mining.interner.PathInterner`, which
-hash and compare in a few nanoseconds instead of tuple-hashing every
-path field.  Both produce structurally identical trees because the
-interner assigns IDs in first-occurrence order, preserving insertion
-and child-dict order.
+children by the item value.  The miner inserts dense ``int`` IDs from
+:class:`repro.mining.interner.PathInterner`, which hash and compare in
+a few nanoseconds instead of tuple-hashing every path field; the
+reference miner in ``tests/oracle.py`` and the Figure 3 example insert
+:class:`~repro.core.namepath.NamePath` objects.  Both produce
+structurally identical trees because the interner assigns IDs in
+first-occurrence order, preserving insertion and child-dict order.
 """
 
 from __future__ import annotations

@@ -123,10 +123,8 @@ class _Pool:
 def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
     """Flatten a fitted Namer's compiled matcher state to ``path``.
 
-    Requires a matcher with a compiled automaton and an attached
-    interner (the default build); raises :class:`FrozenError` for
-    legacy-configured matchers.  Returns a small summary dict (sizes,
-    counts) for CLI output.
+    Raises :class:`FrozenError` for an unmined namer.  Returns a small
+    summary dict (sizes, counts) for CLI output.
     """
     from repro.core.persistence import (
         SCHEMA_VERSION,
@@ -138,13 +136,7 @@ def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
     if matcher is None or namer.stats is None:
         raise FrozenError("mine() the Namer before freezing it")
     auto = matcher._automaton
-    if auto is None:
-        raise FrozenError("matcher has no compiled automaton (use_automaton=False)")
     interner = auto._interner
-    if interner is None:
-        raise FrozenError("matcher has no attached interner (use_interner=False)")
-    if not auto._finalized:
-        raise FrozenError("automaton is not finalized")
 
     # Close the vocabulary under symbolic variants *before* snapshotting
     # (mining already did this; artifact-loaded namers may not have),
@@ -741,16 +733,9 @@ def _namer_from_artifact(art: FrozenArtifact):
 
     matcher = PatternMatcher.__new__(PatternMatcher)
     matcher.patterns = patterns
-    matcher.use_frozen = True
     matcher._automaton = auto
     matcher.prefix_counts = auto.deduction_prefix_counts()
     matcher._corpus_counts = None
-    # Legacy selectivity index: built lazily by candidate_indices —
-    # nothing on the serving hot path needs it.
-    matcher._by_anchor = None
-    matcher._order_prefix = None
-    matcher._feature_bits = None
-    matcher._masks = None
 
     config = header["config"]
     namer = Namer(

@@ -14,23 +14,25 @@ The miner runs in four phases:
    the dataset is at least ``min_satisfaction_ratio`` (0.8 in the
    paper) and whose support clears ``min_pattern_support``.
 
-The frequency, growth, and prune passes are data-parallel over the
-statement sequence: each contiguous shard produces a small mergeable
-summary (a path counter, an ordered transaction-count dict, a pair of
-match/satisfaction counters — see :mod:`repro.parallel.merge`) and the
-merged result replays into exactly the state a serial pass would have
-built.  Generation runs on the single merged tree.  ``workers > 1``
+Every pass runs over dense interned path IDs
+(:mod:`repro.mining.interner`).  The growth and prune passes are
+data-parallel over the statement sequence: each contiguous shard
+produces a small mergeable summary (an ordered transaction-count dict, a
+pair of match/satisfaction counters — see :mod:`repro.parallel.merge`)
+and the merged result replays into exactly the state a serial pass would
+have built.  Generation runs on the single merged tree.  ``workers > 1``
 fans the shard work over a process pool; the output is **bit-identical**
-to serial mining either way (``tests/test_parallel.py``).
+to serial mining either way (``tests/test_parallel.py``), and to the
+object-path reference miner in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,19 +54,9 @@ from repro.mining.interner import (
     ShardPathCounts,
     merge_shard_path_counts,
 )
-from repro.mining.matcher import (
-    PatternMatcher,
-    prefix_frequencies,
-    prefix_frequencies_ids,
-)
-from repro.parallel.executor import (
-    ShardExecutor,
-    SharedSlice,
-    register_teardown_hook,
-    resolve_context,
-    resolve_shard,
-)
-from repro.parallel.merge import merge_count_pairs, merge_counters
+from repro.mining.matcher import PatternMatcher, prefix_frequencies_ids
+from repro.parallel.executor import ShardExecutor, resolve_context, resolve_shard
+from repro.parallel.merge import merge_count_pairs
 from repro.parallel.profiler import PhaseProfiler
 from repro.parallel.sharding import Span, even_spans
 from repro.resilience.faults import fault_check
@@ -125,32 +117,23 @@ class PatternMiner:
         self,
         config: MiningConfig = MiningConfig(),
         confusing_pairs: Iterable[tuple[str, str]] = (),
-        use_interner: bool = True,
     ) -> None:
         self.config = config
-        #: route the frequency/growth/generate/prune hot loops through
-        #: dense interned path IDs (``repro.mining.interner``) when the
-        #: caller supplies pre-extracted paths.  ``False`` keeps the
-        #: object-path passes alive for differential testing
-        #: (``tests/test_interner.py`` pins the two byte-identical),
-        #: mirroring the matcher's ``use_automaton`` escape hatch.
-        self.use_interner = use_interner
         #: ``correct word -> set of mistaken words``; deductions of
         #: confusing-word patterns must end at a correct word.
         self.correct_words: dict[str, set[str]] = {}
         for mistaken, correct in confusing_pairs:
             self.correct_words.setdefault(correct, set()).add(mistaken)
-        #: memo of the last frequency pass — path counts are independent
-        #: of the pattern kind, so mining both kinds over one dataset
-        #: pays for the pass once.  Holds the statements to pin identity
-        #: (and keep the id stable); never pickled into shard tasks.
-        self._frequency_memo: tuple[
-            Sequence[StatementAst], Counter[NamePath] | np.ndarray
-        ] | None = None
-        #: memo of the last intern pass, keyed on the path-list object:
-        #: the corpus interner plus per-statement ID arrays and plain-
-        #: list rows, shared by the two per-kind mine passes.  Never
-        #: pickled into shard tasks.
+        #: memo of the last frequency pass, keyed on the ID-array list
+        #: object — path counts are independent of the pattern kind, so
+        #: mining both kinds over one dataset pays for the pass once.
+        #: Never pickled into shard tasks.
+        self._frequency_memo: tuple[Sequence[np.ndarray], np.ndarray] | None = None
+        #: memo of the last intern pass, keyed on the path-list object
+        #: (the statement list when the miner extracted the paths
+        #: itself): the corpus interner plus per-statement ID arrays and
+        #: plain-list rows, shared by the two per-kind mine passes.
+        #: Never pickled into shard tasks.
         self._intern_memo: tuple | None = None
 
     def __getstate__(self) -> dict:
@@ -201,25 +184,22 @@ class PatternMiner:
         supply the statements' already-extracted name paths (one list
         per statement, as a prepared corpus holds them); without it the
         miner extracts them itself — path extraction is the single most
-        expensive part of every pass, so callers that have the paths
-        should always hand them over.
+        expensive part of mining, so callers that have the paths should
+        always hand them over.
 
-        With paths in hand (and ``use_interner`` left on) the passes run
-        in the interned ID domain: ``interner``/``id_lists`` may supply
-        an already-built corpus table (``PathInterner.build`` output —
-        ``Namer.mine`` builds one and shares it with the worker pool);
-        otherwise the miner interns the corpus itself under an
-        ``intern`` profiler phase.  Interned and object-path mining are
-        bit-identical.
+        Every pass runs in the interned ID domain: ``interner`` /
+        ``id_lists`` may supply an already-built corpus table
+        (``PathInterner.build`` output — ``Namer.mine`` builds one and
+        shares it with the worker pool); otherwise the miner interns the
+        corpus itself under an ``intern`` profiler phase.
 
         ``spans`` is an optional contiguous shard plan over the
         statement sequence (e.g. the per-repo plan ``Namer.mine``
         builds); it must partition ``[0, len(statements))`` exactly
         (``ValueError`` otherwise); with none given, statements are
-        split evenly.  An
-        ``executor`` may be shared across calls so one worker pool
-        serves both pattern kinds; otherwise one is created from
-        ``workers``.  Output does not depend on either: sharded and
+        split evenly.  An ``executor`` may be shared across calls so one
+        worker pool serves both pattern kinds; otherwise one is created
+        from ``workers``.  Output does not depend on either: sharded and
         serial mining produce identical results.
 
         With a ``cache`` plus one content key per span (``shard_keys``,
@@ -248,10 +228,11 @@ class PatternMiner:
             else:
                 _validate_spans(spans, n)
             parallel = executor.parallel and len(spans) > 1
-            use_cache = cache is not None and shard_keys is not None
-            if use_cache and len(shard_keys) != len(spans):
-                raise ValueError("shard_keys must align one-to-one with spans")
-            if use_cache:
+            if shard_keys is None:
+                cache = None  # the shard levels key on one key per span
+            if cache is not None:
+                if len(shard_keys) != len(spans):
+                    raise ValueError("shard_keys must align one-to-one with spans")
                 # Whole-kind memo: the final MiningResult is a pure
                 # function of the corpus content (every shard key, in
                 # order), the config, the kind, and — for confusing
@@ -266,258 +247,114 @@ class PatternMiner:
                     return memo_result
             for index in range(len(spans)):
                 fault_check("mining.shard", key=f"{kind.value}:{index}")
-            # Parallel shards travel as fork-shared slices where
-            # possible (see executor.shard_payloads): workers resolve
-            # given paths straight out of inherited memory, or extract
-            # from their statement shard (cached across passes).  Serial
-            # runs keep one set of path lists in this process.
-            has_paths = paths is not None
-            use_ids = self.use_interner and has_paths
-            interner_payload = None
-            id_rows: list[list[int]] | None = None
-            id_shards: list = []
-            if use_ids:
-                # Intern once per corpus (memoized across the two
-                # per-kind passes): the one remaining pass that hashes
-                # every path occurrence.  Everything below reads dense
-                # IDs.  When the caller (Namer.mine) already built and
-                # profiled the table, reuse it without a phase row.
-                prebuilt = interner is not None or (
-                    self._intern_memo is not None
-                    and self._intern_memo[0] is paths
-                )
-                if prebuilt:
-                    interner, id_lists, id_rows = self._intern_corpus(
-                        paths, interner, id_lists
-                    )
-                else:
-                    with profiler.phase("intern", items=n):
-                        interner, id_lists, id_rows = self._intern_corpus(
-                            paths, None, None
-                        )
-                interner.ensure_symbolic()
-                if parallel:
-                    # Publish the interner to the (future) pool and the
-                    # ID arrays as fork-shared slices: growth and prune
-                    # tasks then carry only handles and small arrays.
-                    interner_payload = executor.share_context(interner)
-                    id_shards = executor.shard_payloads(id_lists, spans)
-            if parallel and not use_ids:
-                shards = executor.shard_payloads(
-                    paths if has_paths else statements, spans
+
+            # Intern once per corpus (memoized across the two per-kind
+            # passes): the one pass that hashes every path occurrence.
+            # Everything below reads dense IDs.  When the caller
+            # (Namer.mine) already built and profiled the table, reuse
+            # it without a phase row.
+            memo = self._intern_memo
+            prebuilt = interner is not None or (
+                memo is not None
+                and memo[0] is (paths if paths is not None else statements)
+            )
+            if prebuilt:
+                interner, id_lists, id_rows = self._intern_corpus(
+                    statements, paths, interner, id_lists
                 )
             else:
-                shards = []
-            path_lists: Sequence[Sequence[NamePath]] | None = None
+                with profiler.phase("intern", items=n):
+                    interner, id_lists, id_rows = self._intern_corpus(
+                        statements, paths, None, None
+                    )
+            interner.ensure_symbolic()
+            interner_payload = None
+            id_shards: list = []
+            if parallel:
+                # Publish the interner to the (future) pool and the ID
+                # arrays as fork-shared slices: growth and prune tasks
+                # then carry only handles and small arrays.
+                interner_payload = executor.share_context(interner)
+                id_shards = executor.shard_payloads(id_lists, spans)
 
             with profiler.phase("frequency", items=n):
                 memo = self._frequency_memo
-                memo_hit = (
-                    memo is not None
-                    and memo[0] is statements
-                    and isinstance(memo[1], np.ndarray) == use_ids
-                )
-                if not parallel:
-                    path_lists = (
-                        paths
-                        if has_paths
-                        else _extract_path_lists(
-                            statements, cfg.max_paths_per_statement
-                        )
-                    )
-                if memo_hit:
+                if memo is not None and memo[0] is id_lists:
                     counts = memo[1]
-                elif use_ids:
-                    # One bincount over the concatenated ID arrays —
-                    # cheap enough that fanning out could only lose.
-                    # Cached mining still goes per shard (the entry is
-                    # a purity-preserving local-vocabulary summary, see
-                    # ShardPathCounts), computed in the parent.
-                    if use_cache:
-                        freq_salt = (
-                            config_fingerprint(cfg)
-                            + f"|interner{INTERNER_SCHEMA}"
-                        )
-
-                        def compute_frequency_ids(missing: list[int]) -> list:
-                            return [
-                                ShardPathCounts.from_id_arrays(
-                                    id_lists[spans[i][0] : spans[i][1]],
-                                    interner,
-                                )
-                                for i in missing
-                            ]
-
-                        counts = merge_shard_path_counts(
-                            _through_cache(
-                                cache,
-                                "frequency",
-                                shard_keys,
-                                freq_salt,
-                                compute_frequency_ids,
-                            ),
-                            interner,
-                        )
-                    else:
-                        flat = (
-                            np.concatenate(id_lists)
-                            if id_lists
-                            else np.zeros(0, dtype=np.int32)
-                        )
-                        counts = np.bincount(flat, minlength=len(interner))
-                elif use_cache:
-                    # Path counts depend only on the shard's own files
-                    # and the config — the one pass whose salt has no
-                    # upstream state, so a k-file edit recomputes
-                    # exactly k shards.
-                    freq_salt = config_fingerprint(cfg)
+                elif cache is not None:
+                    # Per-shard entries are purity-preserving local-
+                    # vocabulary summaries (see ShardPathCounts) that
+                    # depend only on the shard's own files and the
+                    # config, so a k-file edit recomputes exactly k
+                    # shards; computed in the parent.
+                    freq_salt = (
+                        config_fingerprint(cfg) + f"|interner{INTERNER_SCHEMA}"
+                    )
 
                     def compute_frequency(missing: list[int]) -> list:
-                        if parallel:
-                            return executor.map(
-                                _frequency_shard,
-                                [(self, shards[i], has_paths) for i in missing],
-                            )
                         return [
-                            _count_paths(path_lists[spans[i][0] : spans[i][1]])
+                            ShardPathCounts.from_id_arrays(
+                                id_lists[spans[i][0] : spans[i][1]], interner
+                            )
                             for i in missing
                         ]
 
-                    counts = merge_counters(
+                    counts = merge_shard_path_counts(
                         _through_cache(
                             cache,
                             "frequency",
                             shard_keys,
                             freq_salt,
                             compute_frequency,
-                        )
-                    )
-                elif parallel:
-                    counts = merge_counters(
-                        executor.map(
-                            _frequency_shard,
-                            [(self, shard, has_paths) for shard in shards],
-                        )
+                        ),
+                        interner,
                     )
                 else:
-                    counts = _count_paths(path_lists)
-                self._frequency_memo = (statements, counts)
-                if use_ids:
-                    # `counts >= max(threshold, 1)` is exactly "seen at
-                    # least `threshold` times": vocabulary entries the
-                    # corpus never produced concretely (the symbolic
-                    # variants) count zero and stay out, matching the
-                    # legacy Counter comprehension at any threshold.
-                    frequent_pids = np.flatnonzero(
-                        counts >= max(cfg.min_path_frequency, 1)
+                    # One bincount over the concatenated ID arrays —
+                    # cheap enough that fanning out could only lose.
+                    flat = (
+                        np.concatenate(id_lists)
+                        if id_lists
+                        else np.zeros(0, dtype=np.int32)
                     )
-                    freq_ok = np.zeros(len(interner), dtype=bool)
-                    freq_ok[frequent_pids] = True
-                    frequent: set[NamePath] = set()
-                else:
-                    frequent = {
-                        p
-                        for p, c in counts.items()
-                        if c >= cfg.min_path_frequency
-                    }
+                    counts = np.bincount(flat, minlength=len(interner))
+                self._frequency_memo = (id_lists, counts)
+                # `counts >= max(threshold, 1)` is exactly "seen at least
+                # `threshold` times": vocabulary entries the corpus never
+                # produced concretely (the symbolic variants) count zero
+                # and stay out at any threshold.
+                frequent_pids = np.flatnonzero(
+                    counts >= max(cfg.min_path_frequency, 1)
+                )
+                freq_ok = np.zeros(len(interner), dtype=bool)
+                freq_ok[frequent_pids] = True
 
             with profiler.phase("growth", items=n):
                 # Each shard's distinct transactions replay into the
                 # tree in span order — for contiguous shards that is the
                 # global first-occurrence order, so the tree (child dict
-                # order included) is bit-identical to per-statement
-                # serial insertion.  Interned growth inserts int-tuple
-                # transactions (rank-sorted — the order `sorted(paths)`
-                # would produce) keyed to the same stream bijectively,
-                # so the int tree is node-for-node isomorphic to the
-                # object tree.
+                # order included) is identical to per-statement serial
+                # insertion.  Transactions are int tuples, rank-sorted —
+                # the order `sorted(paths)` would produce.
                 tree = FPTree()
-                if use_ids:
-                    if use_cache:
-                        # Shard entries carry *local* IDs plus their
-                        # vocabulary slice (global IDs depend on other
-                        # shards; cache entries must not) — the parent
-                        # remaps through its interner on merge.
-                        growth_salt = (
-                            self._kind_salt(kind)
-                            + "|"
-                            + fingerprint_of(
-                                sorted(
-                                    interner.resolve(int(pid))
-                                    for pid in frequent_pids
-                                )
-                            )
-                            + f"|interner{INTERNER_SCHEMA}"
-                        )
-
-                        def compute_growth_ids(missing: list[int]) -> list:
-                            if parallel:
-                                return executor.map(
-                                    _growth_shard_ids,
-                                    [
-                                        (
-                                            self,
-                                            id_shards[i],
-                                            interner_payload,
-                                            freq_ok,
-                                            kind,
-                                        )
-                                        for i in missing
-                                    ],
-                                )
-                            tables = self._growth_tables(
-                                interner, freq_ok.tolist()
-                            )
-                            return [
-                                _localize_transactions(
-                                    self._transaction_counts_ids(
-                                        id_rows[spans[i][0] : spans[i][1]],
-                                        tables,
-                                        kind,
-                                    ),
-                                    interner,
-                                )
-                                for i in missing
-                            ]
-
-                        shard_transactions = [
-                            _globalize_transactions(entry, interner)
-                            for entry in _through_cache(
-                                cache,
-                                "growth",
-                                shard_keys,
-                                growth_salt,
-                                compute_growth_ids,
-                            )
-                        ]
-                    elif parallel:
-                        shard_transactions = [
-                            _globalize_transactions(entry, interner)
-                            for entry in executor.map(
-                                _growth_shard_ids,
-                                [
-                                    (self, shard, interner_payload, freq_ok, kind)
-                                    for shard in id_shards
-                                ],
-                            )
-                        ]
-                    else:
-                        tables = self._growth_tables(interner, freq_ok.tolist())
-                        shard_transactions = [
-                            self._transaction_counts_ids(id_rows, tables, kind)
-                        ]
-                elif use_cache:
+                if cache is not None:
                     # A shard's transactions depend on the *global*
-                    # frequent-path set, so it rides in the salt: any
-                    # corpus change that shifts path frequencies over
-                    # the threshold invalidates every growth shard.
-                    # (The kind salt also carries the confusing-pair
-                    # list — transaction splitting consults it for the
-                    # confusing-word kind.)
+                    # frequent-path set, so it rides in the salt (the
+                    # kind salt carries the confusing-pair list).  Shard
+                    # entries carry *local* IDs plus their vocabulary
+                    # slice (global IDs depend on other shards; cache
+                    # entries must not) — the parent remaps through its
+                    # interner on merge.
                     growth_salt = (
                         self._kind_salt(kind)
                         + "|"
-                        + fingerprint_of(sorted(frequent))
+                        + fingerprint_of(
+                            sorted(
+                                interner.resolve(int(pid))
+                                for pid in frequent_pids
+                            )
+                        )
+                        + f"|interner{INTERNER_SCHEMA}"
                     )
 
                     def compute_growth(missing: list[int]) -> list:
@@ -525,34 +362,54 @@ class PatternMiner:
                             return executor.map(
                                 _growth_shard,
                                 [
-                                    (self, shards[i], has_paths, frequent, kind)
+                                    (
+                                        self,
+                                        id_shards[i],
+                                        interner_payload,
+                                        freq_ok,
+                                        kind,
+                                    )
                                     for i in missing
                                 ],
                             )
+                        tables = self._growth_tables(interner, freq_ok.tolist())
                         return [
-                            self._transaction_counts(
-                                path_lists[spans[i][0] : spans[i][1]],
-                                frequent,
-                                kind,
+                            _localize_transactions(
+                                self._transaction_counts(
+                                    id_rows[spans[i][0] : spans[i][1]],
+                                    tables,
+                                    kind,
+                                ),
+                                interner,
                             )
                             for i in missing
                         ]
 
-                    shard_transactions = _through_cache(
-                        cache, "growth", shard_keys, growth_salt, compute_growth
-                    )
-                elif parallel:
-                    shard_transactions = executor.map(
-                        _growth_shard,
-                        [
-                            (self, shard, has_paths, frequent, kind)
-                            for shard in shards
-                        ],
-                    )
-                else:
-                    assert path_lists is not None
                     shard_transactions = [
-                        self._transaction_counts(path_lists, frequent, kind)
+                        _globalize_transactions(entry, interner)
+                        for entry in _through_cache(
+                            cache,
+                            "growth",
+                            shard_keys,
+                            growth_salt,
+                            compute_growth,
+                        )
+                    ]
+                elif parallel:
+                    shard_transactions = [
+                        _globalize_transactions(entry, interner)
+                        for entry in executor.map(
+                            _growth_shard,
+                            [
+                                (self, shard, interner_payload, freq_ok, kind)
+                                for shard in id_shards
+                            ],
+                        )
+                    ]
+                else:
+                    tables = self._growth_tables(interner, freq_ok.tolist())
+                    shard_transactions = [
+                        self._transaction_counts(id_rows, tables, kind)
                     ]
                 for transactions in shard_transactions:
                     for transaction, count in transactions.items():
@@ -560,26 +417,18 @@ class PatternMiner:
 
             fp_nodes = tree.node_count()
             with profiler.phase("generate", items=fp_nodes):
-                if use_ids:
-                    id_candidates = generate_patterns_ids(
+                merged = _merge_duplicates_ids(
+                    generate_patterns_ids(
                         tree.root,
                         kind,
                         interner.ensure_symbolic(),
                         max_condition_paths=cfg.max_condition_paths,
                         condition_subsets=cfg.condition_subsets,
                         max_combinations=cfg.max_condition_combinations,
-                    )
-                    merged = _merge_duplicates_ids(id_candidates, kind, interner)
-                else:
-                    candidates = generate_patterns(
-                        tree.root,
-                        [],
-                        kind,
-                        max_condition_paths=cfg.max_condition_paths,
-                        condition_subsets=cfg.condition_subsets,
-                        max_combinations=cfg.max_condition_combinations,
-                    )
-                    merged = _merge_duplicates(candidates)
+                    ),
+                    kind,
+                    interner,
+                )
 
             with profiler.phase("prune", items=n):
                 supported = [
@@ -588,67 +437,20 @@ class PatternMiner:
                 if not supported:
                     pruned = []
                 else:
-                    if use_ids:
-                        if use_cache:
-                            match_counts, sat_counts = self._cached_prune_ids(
-                                cache,
-                                shard_keys,
-                                spans,
-                                id_shards,
-                                id_lists,
-                                id_rows,
-                                supported,
-                                interner,
-                                interner_payload,
-                                parallel=parallel,
-                                executor=executor,
-                                profiler=profiler,
-                            )
-                        elif parallel:
-                            match_counts, sat_counts = self._parallel_prune_ids(
-                                supported,
-                                id_shards,
-                                id_lists,
-                                interner,
-                                interner_payload,
-                                executor=executor,
-                                profiler=profiler,
-                            )
-                        else:
-                            match_counts, sat_counts = _count_matches_ids(
-                                self._prune_matcher_ids(
-                                    supported, id_lists, interner
-                                ),
-                                id_rows,
-                            )
-                    elif use_cache:
-                        match_counts, sat_counts = self._cached_prune(
-                            cache,
-                            shard_keys,
-                            spans,
-                            shards,
-                            path_lists,
-                            supported,
-                            parallel=parallel,
-                            has_paths=has_paths,
-                            executor=executor,
-                            profiler=profiler,
-                        )
-                    elif parallel:
-                        match_counts, sat_counts = self._parallel_prune(
-                            supported,
-                            shards,
-                            paths,
-                            n,
-                            has_paths=has_paths,
-                            executor=executor,
-                            profiler=profiler,
-                        )
-                    else:
-                        assert path_lists is not None
-                        match_counts, sat_counts = _count_matches(
-                            path_lists, supported
-                        )
+                    match_counts, sat_counts = self._prune_counts(
+                        supported,
+                        spans,
+                        id_lists,
+                        id_rows,
+                        interner,
+                        cache=cache,
+                        shard_keys=shard_keys,
+                        id_shards=id_shards,
+                        interner_payload=interner_payload,
+                        parallel=parallel,
+                        executor=executor,
+                        profiler=profiler,
+                    )
                     pruned = self._prune_uncommon(
                         supported, match_counts, sat_counts
                     )
@@ -660,7 +462,7 @@ class PatternMiner:
                 fp_tree_nodes=fp_nodes,
                 candidates_before_pruning=len(merged),
             )
-            if use_cache:
+            if cache is not None:
                 cache.put("mine", mine_key, result)
             return result
         finally:
@@ -668,58 +470,31 @@ class PatternMiner:
                 executor.close()
 
     # ------------------------------------------------------------------
-    # Mergeable per-shard passes
-    # ------------------------------------------------------------------
-
-    def _transaction_counts(
-        self,
-        path_lists: list[list[NamePath]],
-        frequent: set[NamePath],
-        kind: PatternKind,
-    ) -> dict[tuple[NamePath, ...], int]:
-        """Growth pass over one shard: FP-tree transactions with counts,
-        keyed in first-occurrence order (the replay order)."""
-        transactions: dict[tuple[NamePath, ...], int] = {}
-        for paths in path_lists:
-            kept = [p for p in paths if p in frequent]
-            for cond, deduct in self._split_paths(kept, kind):
-                transaction = tuple(sorted(cond) + sorted(deduct))
-                if transaction:
-                    transactions[transaction] = (
-                        transactions.get(transaction, 0) + 1
-                    )
-        return transactions
-
-    def _match_counts(
-        self,
-        path_lists: list[list[NamePath]],
-        supported: list[NamePattern],
-    ) -> tuple[Counter[int], Counter[int]]:
-        """Prune pass over one statement shard (see
-        :func:`_count_matches`; kept as a method for callers that have
-        a miner in hand)."""
-        return _count_matches(path_lists, supported)
-
-    # ------------------------------------------------------------------
-    # Interned pipeline (use_interner=True): the same passes over dense
-    # path IDs.  Per-ID tables off the interner replace every hash and
-    # rich comparison in the hot loops; the object methods above remain
-    # the differential reference.
+    # Mergeable per-shard passes over dense path IDs.  Per-ID tables off
+    # the interner replace every hash and rich comparison in the hot
+    # loops; tests/oracle.py holds the object-path definitions.
     # ------------------------------------------------------------------
 
     def _intern_corpus(
         self,
-        paths: Sequence[Sequence[NamePath]],
+        statements: Sequence[StatementAst],
+        paths: Sequence[Sequence[NamePath]] | None,
         interner: PathInterner | None,
         id_lists: Sequence[np.ndarray] | None,
     ) -> tuple[PathInterner, Sequence[np.ndarray], list[list[int]]]:
         """The corpus interner, per-statement ID arrays, and plain-list
         rows (list indexing beats numpy scalar boxing in the pure-Python
-        pair loops), memoized on the path-list object so the two
-        per-kind mine passes pay once."""
+        pair loops), memoized on the path-list object — or on the
+        statement list when the paths have to be extracted here — so the
+        two per-kind mine passes pay once."""
+        key = paths if paths is not None else statements
         memo = self._intern_memo
-        if memo is not None and memo[0] is paths:
+        if memo is not None and memo[0] is key:
             return memo[1], memo[2], memo[3]
+        if paths is None:
+            paths = _extract_path_lists(
+                statements, self.config.max_paths_per_statement
+            )
         if interner is None:
             interner, id_lists = PathInterner.build(paths)
         elif id_lists is None:
@@ -730,15 +505,15 @@ class PatternMiner:
                 for row in paths
             ]
         id_rows = [arr.tolist() for arr in id_lists]
-        self._intern_memo = (paths, interner, id_lists, id_rows)
+        self._intern_memo = (key, interner, id_lists, id_rows)
         return interner, id_lists, id_rows
 
     def _growth_tables(
         self, interner: PathInterner, frequent: list[bool]
     ) -> tuple:
-        """Per-ID lookup tables for the interned growth pass.  The
-        interner-derived tables are cached on the interner itself, so a
-        worker process builds them once and reuses them across tasks."""
+        """Per-ID lookup tables for the growth pass.  The interner-
+        derived tables are cached on the interner itself, so a worker
+        process builds them once and reuses them across tasks."""
         sym = interner.ensure_symbolic()
         rank = interner.sort_ranks()
         fold = interner.fold_table()
@@ -746,15 +521,16 @@ class PatternMiner:
         correct = [p.end in self.correct_words for p in interner.paths]
         return frequent, sym, rank, fold, name_ok, correct
 
-    def _transaction_counts_ids(
+    def _transaction_counts(
         self,
         id_rows: Sequence[list[int]],
         tables: tuple,
         kind: PatternKind,
     ) -> dict[tuple[int, ...], int]:
-        """:meth:`_transaction_counts` in the ID domain: int-tuple
-        transactions, rank-sorted (`sorted(paths)` order), counted in
-        first-occurrence order."""
+        """Growth pass over one shard: FP-tree transactions
+        ``sort(cond) + sort(deduct)`` (rank order = ``sorted(paths)``
+        order) with counts, keyed in first-occurrence order (the replay
+        order)."""
         frequent, sym, rank, fold, name_ok, correct = tables
         transactions: dict[tuple[int, ...], int] = {}
         max_cond = self.config.max_condition_paths
@@ -763,11 +539,9 @@ class PatternMiner:
         for row in id_rows:
             kept = [pid for pid in row if frequent[pid]]
             if consistency:
-                splits = self._split_consistency_ids(
-                    kept, sym, fold, name_ok, max_cond
-                )
+                splits = _split_consistency(kept, sym, fold, name_ok, max_cond)
             else:
-                splits = self._split_confusing_ids(kept, sym, correct, max_cond)
+                splits = _split_confusing(kept, sym, correct, max_cond)
             for cond, deduct in splits:
                 transaction = tuple(
                     sorted(cond, key=rank_key) + sorted(deduct, key=rank_key)
@@ -778,285 +552,90 @@ class PatternMiner:
                     )
         return transactions
 
-    def _split_consistency_ids(
-        self,
-        pids: list[int],
-        sym: list[int],
-        fold: list[int],
-        name_ok: list[bool],
-        max_cond: int,
-    ) -> Iterable[tuple[list[int], list[int]]]:
-        """:meth:`_split_consistency` over IDs: casefold-equal ends are
-        one fold-ID compare, prefix identity one symbolic-ID compare.
-        The first path's guards hoist out of the inner loop — pairs they
-        skip yielded nothing in the object version either."""
-        for i, a1 in enumerate(pids):
-            f1 = fold[a1]
-            if f1 < 0 or not name_ok[a1]:
-                continue
-            s1 = sym[a1]
-            for a2 in pids[i + 1 :]:
-                if fold[a2] != f1 or sym[a2] == s1 or not name_ok[a2]:
-                    continue
-                s2 = sym[a2]
-                cond = [p for p in pids if sym[p] != s1 and sym[p] != s2]
-                del cond[max_cond:]
-                yield cond, [s1, s2]
-
-    def _split_confusing_ids(
-        self,
-        pids: list[int],
-        sym: list[int],
-        correct: list[bool],
-        max_cond: int,
-    ) -> Iterable[tuple[list[int], list[int]]]:
-        """:meth:`_split_confusing` over IDs (deductions stay concrete)."""
-        for a in pids:
-            if not correct[a]:
-                continue
-            sa = sym[a]
-            cond = [p for p in pids if sym[p] != sa]
-            del cond[max_cond:]
-            yield cond, [a]
-
-    def _prune_matcher_ids(
+    def _prune_matcher(
         self,
         supported: list[NamePattern],
         id_lists: Sequence[np.ndarray],
         interner: PathInterner,
     ) -> PatternMatcher:
-        """:meth:`_prune_matcher` with the corpus interner attached, so
-        the prune loop scans pre-resolved ID rows (``relations_ids``)."""
+        """One compiled matcher over the whole candidate list, anchored
+        by corpus prefix rarity, with the corpus interner attached so
+        the prune loop scans pre-resolved ID rows."""
         return PatternMatcher(
             supported,
             prefix_counts=prefix_frequencies_ids(id_lists, interner),
             interner=interner,
         )
 
-    def _parallel_prune_ids(
+    def _prune_counts(
         self,
         supported: list[NamePattern],
-        id_shards: list,
-        id_lists: Sequence[np.ndarray],
-        interner: PathInterner,
-        interner_payload,
-        *,
-        executor: ShardExecutor,
-        profiler: PhaseProfiler,
-    ) -> tuple[Counter[int], Counter[int]]:
-        """:meth:`_parallel_prune` over ID shards.
-
-        The matcher is compiled *without* an interner — the vocabulary
-        already reached every worker once through ``interner_payload``,
-        and a matcher that carried it would re-pickle the whole table
-        per task — and each worker attaches its pool-shared interner
-        before scanning."""
-        matcher = PatternMatcher(
-            supported,
-            prefix_counts=prefix_frequencies_ids(id_lists, interner),
-            use_interner=False,
-        )
-        matcher_payload = executor.share_context(matcher)
-        results = executor.map(
-            _prune_shard_ids,
-            [
-                (matcher_payload, shard, interner_payload)
-                for shard in id_shards
-            ],
-        )
-        match_counts, sat_counts = merge_count_pairs(
-            [(match, sat) for match, sat, _ in results]
-        )
-        profiler.record(
-            "prune_shard",
-            sum(seconds for _, _, seconds in results),
-            items=len(results),
-        )
-        return match_counts, sat_counts
-
-    def _cached_prune_ids(
-        self,
-        cache: ContentCache,
-        shard_keys: Sequence[str],
         spans: Sequence[Span],
-        id_shards: list,
         id_lists: Sequence[np.ndarray],
         id_rows: list[list[int]],
-        supported: list[NamePattern],
         interner: PathInterner,
-        interner_payload,
         *,
+        cache: ContentCache | None,
+        shard_keys: Sequence[str] | None,
+        id_shards: list,
+        interner_payload,
         parallel: bool,
         executor: ShardExecutor,
         profiler: PhaseProfiler,
     ) -> tuple[Counter[int], Counter[int]]:
-        """:meth:`_cached_prune` over ID shards.  Same salt as the
-        object path (per-pattern counts are backend-identical, so the
-        backends share entries); the interner schema rides in both as a
-        safety interlock."""
-        salt = _prune_salt(self.config, supported)
-        entries = [
-            cache.get("prune", cache.key(key, salt)) for key in shard_keys
-        ]
+        """Per-pattern match / satisfaction counts over the corpus.
+
+        Serial uncached runs scan every statement in one batch.
+        Otherwise the pass is statement-sharded: with a ``cache``, each
+        shard's counts are stored under its content key (the candidate
+        list fingerprint rides in the salt because counts are keyed by
+        index into it), and only missing shards are recomputed — inline
+        or over the pool.  Parallel shards share one matcher compiled
+        with an empty interner (the corpus vocabulary already reached
+        every worker through ``interner_payload``; each worker attaches
+        it before scanning).  Per-pattern counts are sums over
+        statements, so the merged counts are identical to a serial
+        pass.  Recomputed shards' worker-side seconds land in a
+        ``prune_shard`` profiler row, which doubles as an
+        incrementality probe: a warm run records none.
+        """
+        if cache is None and not parallel:
+            return _count_matches(
+                self._prune_matcher(supported, id_lists, interner), id_rows
+            )
+        if cache is not None:
+            salt = _prune_salt(self.config, supported)
+            keys = [cache.key(key, salt) for key in shard_keys]
+            entries = [cache.get("prune", key) for key in keys]
+        else:
+            entries = [None] * len(spans)
         missing = [i for i, entry in enumerate(entries) if entry is None]
         if missing:
             if parallel:
                 matcher = PatternMatcher(
                     supported,
                     prefix_counts=prefix_frequencies_ids(id_lists, interner),
-                    use_interner=False,
                 )
                 matcher_payload = executor.share_context(matcher)
                 computed = executor.map(
-                    _prune_shard_ids,
+                    _prune_shard,
                     [
                         (matcher_payload, id_shards[i], interner_payload)
                         for i in missing
                     ],
                 )
             else:
-                matcher = self._prune_matcher_ids(
-                    supported, id_lists, interner
-                )
+                matcher = self._prune_matcher(supported, id_lists, interner)
                 computed = [
-                    _timed_count_matches_ids(
+                    _timed_count_matches(
                         matcher, id_rows[spans[i][0] : spans[i][1]]
                     )
                     for i in missing
                 ]
             for i, (match, sat, _) in zip(missing, computed):
                 entries[i] = (match, sat)
-                cache.put("prune", cache.key(shard_keys[i], salt), (match, sat))
-            profiler.record(
-                "prune_shard",
-                sum(seconds for _, _, seconds in computed),
-                items=len(missing),
-            )
-        return merge_count_pairs(entries)
-
-    def _prune_matcher(
-        self,
-        supported: list[NamePattern],
-        paths: Sequence[Sequence[NamePath]] | None,
-    ) -> PatternMatcher:
-        """One compiled matcher over the whole candidate list for the
-        prune pass — automaton included, so every shard task matches
-        against one shared structure instead of compiling its own.
-
-        Anchor selectivity uses corpus prefix frequencies when the
-        paths are in hand, the pattern-set fallback otherwise; the
-        choice moves only candidate-list length, never the counts, so
-        both build modes (and every shard layout) stay bit-identical.
-        """
-        prefix_counts = prefix_frequencies(paths) if paths is not None else None
-        return PatternMatcher(supported, prefix_counts=prefix_counts)
-
-    def _parallel_prune(
-        self,
-        supported: list[NamePattern],
-        shards: list,
-        paths: Sequence[Sequence[NamePath]] | None,
-        n: int,
-        *,
-        has_paths: bool,
-        executor: ShardExecutor,
-        profiler: PhaseProfiler,
-    ) -> tuple[Counter[int], Counter[int]]:
-        """Fan the statement-sharded prune pass over the pool.
-
-        The whole candidate list — compiled into one automaton-backed
-        matcher — is published once per pool via ``share_context``
-        (fork-inherited or shipped through the pool initializer), so a
-        shard task carries only a handle plus its statement slice;
-        pre-automaton, statement sharding lost to serial precisely
-        because every task re-shipped and re-indexed every candidate.
-        Per-pattern counts are sums over statements, so the merged
-        counts are bit-identical to a serial pass.
-
-        Worker-side seconds are accumulated into a ``prune_shard``
-        profiler row (items = shard tasks fanned out), separating real
-        shard compute from the orchestration total in ``prune``.
-        """
-        matcher = self._prune_matcher(supported, paths if has_paths else None)
-        matcher_payload = executor.share_context(matcher)
-        max_paths = self.config.max_paths_per_statement
-        results = executor.map(
-            _prune_shard,
-            [
-                (matcher_payload, shard, has_paths, max_paths)
-                for shard in shards
-            ],
-        )
-        match_counts, sat_counts = merge_count_pairs(
-            [(match, sat) for match, sat, _ in results]
-        )
-        profiler.record(
-            "prune_shard",
-            sum(seconds for _, _, seconds in results),
-            items=len(results),
-        )
-        return match_counts, sat_counts
-
-    def _cached_prune(
-        self,
-        cache: ContentCache,
-        shard_keys: Sequence[str],
-        spans: Sequence[Span],
-        shards: list,
-        path_lists: Sequence[Sequence[NamePath]] | None,
-        supported: list[NamePattern],
-        *,
-        parallel: bool,
-        has_paths: bool,
-        executor: ShardExecutor,
-        profiler: PhaseProfiler,
-    ) -> tuple[Counter[int], Counter[int]]:
-        """Prune through the per-statement-shard cache.
-
-        Cache entries must be a pure function of a shard's files (plus
-        global state in the salt), so caching keeps the statement-
-        sharded layout — the candidate list fingerprint rides in the
-        salt because the counts are keyed by index into it, and the
-        automaton schema rides along because entries are computed
-        through the compiled matcher.  Per-pattern counts are anchor-
-        independent, so an entry's *value* is identical whichever
-        matcher (shard-local or corpus-wide, legacy or automaton)
-        computed it — the schema salt is purely a safety interlock.
-        Only the *recomputed* shards contribute to the ``prune_shard``
-        row, which makes the row double as an incrementality probe: a
-        warm run records none, a one-file edit records one shard per
-        kind.
-        """
-        salt = _prune_salt(self.config, supported)
-        entries = [
-            cache.get("prune", cache.key(key, salt)) for key in shard_keys
-        ]
-        missing = [i for i, entry in enumerate(entries) if entry is None]
-        if missing:
-            matcher = self._prune_matcher(
-                supported, path_lists if path_lists is not None else None
-            )
-            if parallel:
-                matcher_payload = executor.share_context(matcher)
-                max_paths = self.config.max_paths_per_statement
-                computed = executor.map(
-                    _prune_shard,
-                    [
-                        (matcher_payload, shards[i], has_paths, max_paths)
-                        for i in missing
-                    ],
-                )
-            else:
-                assert path_lists is not None
-                computed = [
-                    _timed_count_matches(
-                        matcher, path_lists[spans[i][0] : spans[i][1]]
-                    )
-                    for i in missing
-                ]
-            for i, (match, sat, _) in zip(missing, computed):
-                entries[i] = (match, sat)
-                cache.put("prune", cache.key(shard_keys[i], salt), (match, sat))
+                if cache is not None:
+                    cache.put("prune", keys[i], (match, sat))
             profiler.record(
                 "prune_shard",
                 sum(seconds for _, _, seconds in computed),
@@ -1082,93 +661,64 @@ class PatternMiner:
                 kept.append(pattern)
         return kept
 
-    # ------------------------------------------------------------------
-    # splitPaths (Algorithm 1, line 6)
-    # ------------------------------------------------------------------
 
-    def _split_paths(
-        self, paths: list[NamePath], kind: PatternKind
-    ) -> Iterable[tuple[list[NamePath], list[NamePath]]]:
-        """Enumerate every way to split ``paths`` into condition and
-        deduction for the given pattern type."""
-        if kind is PatternKind.CONSISTENCY:
-            yield from self._split_consistency(paths)
-        else:
-            yield from self._split_confusing(paths)
+# ----------------------------------------------------------------------
+# splitPaths (Algorithm 1, line 6) over interned IDs
+# ----------------------------------------------------------------------
 
-    def _split_consistency(
-        self, paths: list[NamePath]
-    ) -> Iterable[tuple[list[NamePath], list[NamePath]]]:
-        """Pairs of paths sharing an end subtoken become the deduction.
 
-        Deduction paths are inserted *symbolically* (end set to epsilon)
-        so that e.g. ``self.x = x`` and ``self.y = y`` grow the same
-        branch of the FP tree and their counts aggregate.
-        """
-        for i, a1 in enumerate(paths):
-            for a2 in paths[i + 1 :]:
-                ends_equal = (
-                    a1.end is not None
-                    and a2.end is not None
-                    and a1.end.casefold() == a2.end.casefold()
-                )
-                if not ends_equal or a1.prefix == a2.prefix:
-                    continue
-                if not _is_name_subtoken(a1) or not _is_name_subtoken(a2):
-                    continue
-                deduct = [a1.as_symbolic(), a2.as_symbolic()]
-                cond = [
-                    p for p in paths if p.prefix not in (a1.prefix, a2.prefix)
-                ][: self.config.max_condition_paths]
-                yield cond, deduct
-
-    def _split_confusing(
-        self, paths: list[NamePath]
-    ) -> Iterable[tuple[list[NamePath], list[NamePath]]]:
-        """Paths ending at the correct word of a confusing pair become
-        the deduction (Definition 3.9)."""
-        for a in paths:
-            if a.end not in self.correct_words:
+def _split_consistency(
+    pids: list[int],
+    sym: list[int],
+    fold: list[int],
+    name_ok: list[bool],
+    max_cond: int,
+) -> Iterable[tuple[list[int], list[int]]]:
+    """Pairs of paths sharing an end subtoken (casefolded) become the
+    deduction, inserted *symbolically* so that e.g. ``self.x = x`` and
+    ``self.y = y`` grow the same FP-tree branch.  Casefold-equal ends
+    are one fold-ID compare, prefix identity one symbolic-ID compare;
+    literal placeholders (``name_ok`` false) never pair."""
+    for i, a1 in enumerate(pids):
+        f1 = fold[a1]
+        if f1 < 0 or not name_ok[a1]:
+            continue
+        s1 = sym[a1]
+        for a2 in pids[i + 1 :]:
+            if fold[a2] != f1 or sym[a2] == s1 or not name_ok[a2]:
                 continue
-            cond = [p for p in paths if p.prefix != a.prefix][
-                : self.config.max_condition_paths
-            ]
-            yield cond, [a]
+            s2 = sym[a2]
+            cond = [p for p in pids if sym[p] != s1 and sym[p] != s2]
+            del cond[max_cond:]
+            yield cond, [s1, s2]
+
+
+def _split_confusing(
+    pids: list[int],
+    sym: list[int],
+    correct: list[bool],
+    max_cond: int,
+) -> Iterable[tuple[list[int], list[int]]]:
+    """Paths ending at the correct word of a confusing pair become the
+    (concrete) deduction (Definition 3.9)."""
+    for a in pids:
+        if not correct[a]:
+            continue
+        sa = sym[a]
+        cond = [p for p in pids if sym[p] != sa]
+        del cond[max_cond:]
+        yield cond, [a]
 
 
 # ----------------------------------------------------------------------
-# Shard tasks (module-level for process-pool pickling).  Each receives
-# the miner itself — a frozen config plus the confusing-pair map, both
-# cheap to pickle — and a shard payload (a fork-shared slice handle or
-# the statements themselves), and returns only the shard's mergeable
-# summary.  A worker keeps the paths it extracted for a shared shard so
-# the growth and prune passes reuse the frequency pass's work whenever
-# the pool routes them to the same process.
+# Shard tasks (module-level for process-pool pickling) and plumbing
 # ----------------------------------------------------------------------
-
-#: Per-process LRU of extracted path lists, keyed by fork-shared slice
-#: handle.  Bounded: extracted paths are the largest allocation a worker
-#: holds between tasks, and an unbounded dict would pin every shard a
-#: long-lived pool ever touched.  The cap covers a full frequency→
-#: growth→prune cycle at the default shards-per-worker ratio; evicted
-#: shards simply re-extract.  Cleared on executor teardown so neither
-#: the serial (inline) process nor a fork-shared parent carries stale
-#: shards into the next pool.
-_PATH_CACHE: OrderedDict[
-    tuple[SharedSlice, int], list[list["NamePath"]]
-] = OrderedDict()
-
-_PATH_CACHE_MAX = 8
-
-register_teardown_hook(_PATH_CACHE.clear)
 
 
 def _prune_salt(config: MiningConfig, supported: list[NamePattern]) -> str:
-    """Cache salt for per-shard prune entries: the config, both matcher
-    backend schemas (entries are computed through the compiled matcher,
-    in the ID domain when an interner is attached — values are backend-
-    identical, the schemas are safety interlocks), and the candidate
-    list the counts are keyed into."""
+    """Cache salt for per-shard prune entries: the config, the matcher
+    schemas (safety interlocks), and the candidate list the counts are
+    keyed into."""
     return (
         config_fingerprint(config, "prune")
         + f"|automaton{AUTOMATON_SCHEMA}|interner{INTERNER_SCHEMA}"
@@ -1202,112 +752,6 @@ def _extract_path_lists(
     statements: Sequence[StatementAst], max_paths: int
 ) -> list[list[NamePath]]:
     return [extract_name_paths(s, max_paths=max_paths) for s in statements]
-
-
-def _shard_path_lists(
-    payload, has_paths: bool, max_paths: int
-) -> Sequence[Sequence[NamePath]]:
-    if has_paths:
-        # The payload already IS the shard's path lists (resolved from
-        # fork-inherited memory or shipped directly) — nothing to do.
-        return resolve_shard(payload)
-    if isinstance(payload, SharedSlice):
-        cache_key = (payload, max_paths)
-        cached = _PATH_CACHE.get(cache_key)
-        if cached is None:
-            cached = _extract_path_lists(resolve_shard(payload), max_paths)
-            _PATH_CACHE[cache_key] = cached
-            while len(_PATH_CACHE) > _PATH_CACHE_MAX:
-                _PATH_CACHE.popitem(last=False)
-        else:
-            _PATH_CACHE.move_to_end(cache_key)
-        return cached
-    return _extract_path_lists(payload, max_paths)
-
-
-def _count_paths(path_lists: list[list[NamePath]]) -> Counter[NamePath]:
-    counts: Counter[NamePath] = Counter()
-    for paths in path_lists:
-        counts.update(paths)
-    return counts
-
-
-def _frequency_shard(task) -> Counter[NamePath]:
-    miner, payload, has_paths = task
-    return _count_paths(
-        _shard_path_lists(
-            payload, has_paths, miner.config.max_paths_per_statement
-        )
-    )
-
-
-def _growth_shard(task) -> dict[tuple[NamePath, ...], int]:
-    miner, payload, has_paths, frequent, kind = task
-    path_lists = _shard_path_lists(
-        payload, has_paths, miner.config.max_paths_per_statement
-    )
-    return miner._transaction_counts(path_lists, frequent, kind)
-
-
-def _count_matches_with(
-    matcher: PatternMatcher,
-    path_lists: Sequence[Sequence[NamePath]],
-) -> tuple[Counter[int], Counter[int]]:
-    """Prune pass over one statement shard through an already-built
-    matcher: per-pattern match / satisfaction counts, keyed by pattern
-    index.  Counts are anchor-independent, so any matcher over the same
-    pattern list — whatever rarity table or matching backend — produces
-    identical counters."""
-    match_counts: Counter[int] = Counter()
-    sat_counts: Counter[int] = Counter()
-    for paths in path_lists:
-        for idx, relation in matcher.relations(paths):
-            match_counts[idx] += 1
-            if relation is Relation.SATISFIED:
-                sat_counts[idx] += 1
-    return match_counts, sat_counts
-
-
-def _count_matches(
-    path_lists: Sequence[Sequence[NamePath]],
-    supported: list[NamePattern],
-    prefix_counts: Counter | None = None,
-) -> tuple[Counter[int], Counter[int]]:
-    """Prune pass over one shard, building the matcher in place:
-    :func:`_count_matches_with` for callers without one in hand.
-    Anchors are chosen against ``prefix_counts`` when the caller
-    already has the scanned population's frequency table, this shard's
-    own counts otherwise — counts are identical either way."""
-    if prefix_counts is None:
-        prefix_counts = prefix_frequencies(path_lists)
-    matcher = PatternMatcher(supported, prefix_counts=prefix_counts)
-    return _count_matches_with(matcher, path_lists)
-
-
-def _timed_count_matches(
-    matcher: PatternMatcher,
-    path_lists: Sequence[Sequence[NamePath]],
-) -> tuple[Counter[int], Counter[int], float]:
-    started = time.perf_counter()
-    match_counts, sat_counts = _count_matches_with(matcher, path_lists)
-    return match_counts, sat_counts, time.perf_counter() - started
-
-
-def _prune_shard(task) -> tuple[Counter[int], Counter[int], float]:
-    """Statement-sharded prune task: the pool-shared compiled matcher
-    (all candidates), one statement shard.  Returns the counts plus
-    worker-side seconds."""
-    matcher_payload, payload, has_paths, max_paths = task
-    started = time.perf_counter()
-    matcher = resolve_context(matcher_payload)
-    path_lists = _shard_path_lists(payload, has_paths, max_paths)
-    match_counts, sat_counts = _count_matches_with(matcher, path_lists)
-    return match_counts, sat_counts, time.perf_counter() - started
-
-
-# ----------------------------------------------------------------------
-# Interned shard tasks and transaction plumbing
-# ----------------------------------------------------------------------
 
 
 def _localize_transactions(
@@ -1347,66 +791,57 @@ def _globalize_transactions(
     }
 
 
-def _growth_shard_ids(task):
-    """Interned growth task: the pool-shared interner, one fork-shared
-    slice of ID arrays, the frequent-ID mask.  Lookup tables rebuild
-    once per worker (cached on the interner object across tasks) and
-    the result ships back localized."""
+def _growth_shard(task):
+    """Growth task: the pool-shared interner, one fork-shared slice of
+    ID arrays, the frequent-ID mask.  Lookup tables rebuild once per
+    worker (cached on the interner object across tasks) and the result
+    ships back localized."""
     miner, payload, interner_payload, freq_ok, kind = task
     interner = resolve_context(interner_payload)
     tables = miner._growth_tables(interner, freq_ok.tolist())
-    transactions = miner._transaction_counts_ids(
+    transactions = miner._transaction_counts(
         [arr.tolist() for arr in resolve_shard(payload)], tables, kind
     )
     return _localize_transactions(transactions, interner)
 
 
-def _count_matches_ids(
+def _count_matches(
     matcher: PatternMatcher, id_rows: Sequence[list[int]]
 ) -> tuple[Counter[int], Counter[int]]:
-    """:func:`_count_matches_with` over pre-resolved ID rows: the
-    automaton scans integers (``relations_ids``), no per-statement path
-    hashing at all.  Candidate enumeration order — and therefore the
-    counters' key order — matches the object scan exactly."""
+    """Prune counts over pre-resolved ID rows: per-pattern match /
+    satisfaction counters keyed by pattern index.  One vectorized walk
+    over the whole shard; per-row relation lists come back in the pinned
+    order and rows replay in input order, so the counters' key order is
+    the corpus first-match order."""
     match_counts: Counter[int] = Counter()
     sat_counts: Counter[int] = Counter()
-    if getattr(matcher, "use_frozen", False) and matcher._automaton is not None:
-        # One vectorized walk over the whole shard; per-row relation
-        # lists come back in the pinned candidate order, and rows are
-        # replayed in input order, so counter bump order — and the
-        # counters' key order — is identical to the scalar loop.
-        rows = id_rows if isinstance(id_rows, list) else list(id_rows)
-        for rels in matcher.relations_batch(rows):
-            for idx, relation in rels:
-                match_counts[idx] += 1
-                if relation is Relation.SATISFIED:
-                    sat_counts[idx] += 1
-        return match_counts, sat_counts
-    for ids in id_rows:
-        for idx, relation in matcher.relations_ids(ids):
+    rows = id_rows if isinstance(id_rows, list) else list(id_rows)
+    for rels in matcher.relations_batch(rows):
+        for idx, relation in rels:
             match_counts[idx] += 1
             if relation is Relation.SATISFIED:
                 sat_counts[idx] += 1
     return match_counts, sat_counts
 
 
-def _timed_count_matches_ids(
+def _timed_count_matches(
     matcher: PatternMatcher, id_rows: Sequence[list[int]]
 ) -> tuple[Counter[int], Counter[int], float]:
     started = time.perf_counter()
-    match_counts, sat_counts = _count_matches_ids(matcher, id_rows)
+    match_counts, sat_counts = _count_matches(matcher, id_rows)
     return match_counts, sat_counts, time.perf_counter() - started
 
 
-def _prune_shard_ids(task) -> tuple[Counter[int], Counter[int], float]:
-    """Interned prune task: the candidate matcher (compiled without a
+def _prune_shard(task) -> tuple[Counter[int], Counter[int], float]:
+    """Prune task: the candidate matcher (compiled without the corpus
     vocabulary), one slice of ID arrays, and the pool-shared interner
-    the worker attaches before scanning."""
+    the worker attaches before scanning.  Returns the counts plus
+    worker-side seconds."""
     matcher_payload, payload, interner_payload = task
     started = time.perf_counter()
     matcher = resolve_context(matcher_payload)
     matcher.attach_interner(resolve_context(interner_payload))
-    match_counts, sat_counts = _count_matches_ids(
+    match_counts, sat_counts = _count_matches(
         matcher, [arr.tolist() for arr in resolve_shard(payload)]
     )
     return match_counts, sat_counts, time.perf_counter() - started
@@ -1548,20 +983,6 @@ def _build_pattern(
         return None
 
 
-def _merge_duplicates(patterns: list[NamePattern]) -> list[NamePattern]:
-    """The same (condition, deduction) pair can be reached from several
-    FP-tree branches; merge them, summing support."""
-    merged: dict[tuple, NamePattern] = {}
-    for p in patterns:
-        key = p.key()
-        existing = merged.get(key)
-        if existing is None:
-            merged[key] = p
-        else:
-            merged[key] = existing.with_support(existing.support + p.support)
-    return list(merged.values())
-
-
 def generate_patterns_ids(
     node: FPNode,
     kind: PatternKind,
@@ -1622,12 +1043,13 @@ def _merge_duplicates_ids(
     kind: PatternKind,
     interner: PathInterner,
 ) -> list[NamePattern]:
-    """:func:`_merge_duplicates` over raw ID candidates: merge on
-    frozen ID sets (bijective with the object keys), then materialize
-    one pattern per merged key.  Keys :func:`_build_pattern` rejects
-    are dropped here instead of pre-merge — validity is a property of
-    the key, so the surviving list (and its first-seen order) is
-    exactly the object pipeline's."""
+    """The same (condition, deduction) pair can be reached from several
+    FP-tree branches: merge raw ID candidates on frozen ID sets
+    (bijective with pattern keys), summing support, then materialize one
+    pattern per merged key.  Keys :func:`_build_pattern` rejects are
+    dropped after the merge — validity is a property of the key, so the
+    surviving list (and its first-seen order) is the same as merging
+    built patterns."""
     merged: dict[
         tuple[frozenset[int], frozenset[int]],
         tuple[tuple[int, ...], tuple[int, ...], int],
@@ -1651,8 +1073,3 @@ def _merge_duplicates_ids(
         if pattern is not None:
             out.append(pattern)
     return out
-
-
-def _is_name_subtoken(path: NamePath) -> bool:
-    """Consistency deductions should relate real names, not literals."""
-    return path.end not in (None, "NUM", "STR", "BOOL")

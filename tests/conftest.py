@@ -6,6 +6,7 @@ points-to over every file) to one run for the whole suite.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -52,3 +53,28 @@ def fitted_namer(small_corpus):
 @pytest.fixture(scope="session")
 def small_oracle(small_corpus):
     return Oracle(small_corpus)
+
+
+@pytest.fixture(scope="session")
+def mined_document():
+    """``mined_document(config, corpus, miner_class=None)``: the JSON
+    document of a Namer mined with ``config`` — through ``miner_class``
+    in place of the production miner when given — without the
+    wall-clock phase timings."""
+    import repro.core.namer as namer_mod
+    from repro.core.persistence import namer_to_document
+
+    def mine(config, corpus, miner_class=None) -> str:
+        original = namer_mod.PatternMiner
+        if miner_class is not None:
+            namer_mod.PatternMiner = miner_class
+        try:
+            namer = Namer(config)
+            namer.mine(corpus)
+        finally:
+            namer_mod.PatternMiner = original
+        doc = namer_to_document(namer)
+        doc.pop("phase_timings", None)
+        return json.dumps(doc, sort_keys=True)
+
+    return mine

@@ -1,13 +1,12 @@
-"""Differential suite: compiled automaton vs legacy matcher.
+"""Differential suite: the compiled automaton against the spec oracle.
 
-The compiled :class:`MatchAutomaton` replaces per-candidate
+The compiled :class:`MatchAutomaton` replaces per-pattern
 ``check_pattern`` with integer-domain checks against one shared trie.
-Nothing about its *output* may differ from the legacy path —
-candidates, relations, violations, report bytes, quarantine records,
-prune counts, enumeration order — for any pattern subset, worker
-count, or cache temperature.  ``PatternMatcher(use_automaton=False)``
-keeps the legacy path alive precisely so these tests can hold the two
-against each other byte for byte.
+Nothing about its *output* may differ from the definitions —
+relations, violations, report bytes, quarantine records, prune counts,
+enumeration order — for any pattern subset, worker count, or cache
+temperature.  ``tests/oracle.py`` states each of them directly from
+Definitions 3.6-3.9 and Algorithms 1-2.
 """
 
 from __future__ import annotations
@@ -20,10 +19,13 @@ from collections import Counter
 import pytest
 
 from repro.core.namer import Namer, NamerConfig
+from repro.core.patterns import Relation
+from repro.core.persistence import namer_to_document
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
 from repro.mining.automaton import AUTOMATON_SCHEMA, MatchAutomaton
-from repro.mining.matcher import PatternMatcher, prefix_frequencies
-from repro.mining.miner import MiningConfig, _count_matches, _count_matches_with
+from repro.mining.interner import PathInterner
+from repro.mining.matcher import PatternMatcher
+from repro.mining.miner import MiningConfig, _count_matches
 from repro.parallel.executor import (
     ShardExecutor,
     SharedContext,
@@ -31,6 +33,7 @@ from repro.parallel.executor import (
 )
 from repro.resilience.faults import FAULTS, FaultPlan, FaultSpec
 from repro.resilience.quarantine import Quarantine
+from tests import oracle
 
 
 @pytest.fixture(scope="module")
@@ -59,15 +62,6 @@ def statements(trained_namer):
     ]
 
 
-def legacy_twin(matcher: PatternMatcher) -> PatternMatcher:
-    """The legacy-path matcher over the same patterns and rarity table."""
-    return PatternMatcher(
-        matcher.patterns,
-        prefix_counts=matcher._corpus_counts,
-        use_automaton=False,
-    )
-
-
 def report_blob(groups) -> str:
     return json.dumps(
         [[r.to_json() for r in g] for g in groups], sort_keys=True
@@ -75,66 +69,62 @@ def report_blob(groups) -> str:
 
 
 class TestDifferentialRelations:
-    """relations()/violations() parity, statement by statement."""
+    """relations()/violations() against the oracle, statement by statement."""
 
     def test_full_pattern_set(self, trained_namer, statements):
-        auto = trained_namer.matcher
-        assert auto._automaton is not None
-        legacy = legacy_twin(auto)
-        assert legacy._automaton is None
+        matcher = trained_namer.matcher
+        patterns = matcher.patterns
         matched = 0
         for stmt, paths in statements:
-            rel_a = auto.relations(paths)
-            rel_l = legacy.relations(paths)
-            assert rel_a == rel_l
-            matched += len(rel_a)
-            assert auto.violations(stmt, paths) == legacy.violations(
-                stmt, paths
+            expected = oracle.relations(patterns, paths)
+            assert matcher.relations(paths) == expected
+            matched += len(expected)
+            assert matcher.violations(stmt, paths) == oracle.violations(
+                patterns, stmt, paths
             )
-        assert matched, "corpus must exercise the matchers"
+        assert matched, "corpus must exercise the matcher"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_pattern_subsets(self, trained_namer, statements, seed):
         patterns = trained_namer.matcher.patterns
         rng = random.Random(seed)
         subset = rng.sample(patterns, max(1, len(patterns) // 3))
-        auto = PatternMatcher(subset)
-        legacy = PatternMatcher(subset, use_automaton=False)
+        matcher = PatternMatcher(subset)
         for stmt, paths in statements:
-            assert auto.relations(paths) == legacy.relations(paths)
-            assert auto.violations(stmt, paths) == legacy.violations(
-                stmt, paths
+            assert matcher.relations(paths) == oracle.relations(subset, paths)
+            assert matcher.violations(stmt, paths) == oracle.violations(
+                subset, stmt, paths
             )
 
     def test_empty_pattern_set(self, statements):
-        auto = PatternMatcher([])
-        legacy = PatternMatcher([], use_automaton=False)
+        matcher = PatternMatcher([])
         for stmt, paths in statements[:50]:
-            assert auto.relations(paths) == []
-            assert auto.violations(stmt, paths) == []
-            assert legacy.relations(paths) == []
+            assert matcher.relations(paths) == []
+            assert matcher.violations(stmt, paths) == []
 
     def test_single_pattern_set(self, trained_namer, statements):
         for pattern in trained_namer.matcher.patterns[:5]:
-            auto = PatternMatcher([pattern])
-            legacy = PatternMatcher([pattern], use_automaton=False)
-            for stmt, paths in statements:
-                assert auto.relations(paths) == legacy.relations(paths)
+            matcher = PatternMatcher([pattern])
+            for _, paths in statements:
+                assert matcher.relations(paths) == oracle.relations(
+                    [pattern], paths
+                )
 
     def test_duplicate_prefix_statement_paths(self, trained_namer, statements):
-        """A statement carrying the same prefix twice orders candidates
-        at the first occurrence but resolves lookups at the last — both
-        backends, identically."""
-        auto = trained_namer.matcher
-        legacy = legacy_twin(auto)
+        """A statement carrying the same prefix twice orders matches at
+        the first occurrence but resolves lookups at the last."""
+        matcher = trained_namer.matcher
+        patterns = matcher.patterns
         checked = 0
         for stmt, paths in statements:
             if len(paths) < 2:
                 continue
             doctored = list(paths) + [paths[0], paths[-1]]
-            assert auto.relations(doctored) == legacy.relations(doctored)
-            assert auto.violations(stmt, doctored) == legacy.violations(
-                stmt, doctored
+            assert matcher.relations(doctored) == oracle.relations(
+                patterns, doctored
+            )
+            assert matcher.violations(stmt, doctored) == oracle.violations(
+                patterns, stmt, doctored
             )
             checked += 1
             if checked >= 40:
@@ -151,26 +141,20 @@ class TestDifferentialRelations:
     def test_rescan_is_stateless(self, trained_namer, statements):
         """Generation-stamped scratch arrays must not leak one scan's
         state into the next (same or different statement)."""
-        auto = trained_namer.matcher
+        matcher = trained_namer.matcher
         sample = statements[:60]
-        first = [auto.relations(paths) for _, paths in sample]
-        second = [auto.relations(paths) for _, paths in reversed(sample)]
+        first = [matcher.relations(paths) for _, paths in sample]
+        second = [matcher.relations(paths) for _, paths in reversed(sample)]
         assert first == list(reversed(second))
 
 
 class TestDifferentialReports:
-    """End-to-end detect_many parity, serial and parallel."""
+    """End-to-end detect_many against the oracle, serial and parallel."""
 
     @pytest.mark.parametrize("workers", [1, 2, 7])
     def test_byte_identical_reports(self, trained_namer, workers):
         namer = trained_namer
-        auto = namer.matcher
-        legacy = legacy_twin(auto)
-        try:
-            namer.matcher = legacy
-            expected = report_blob(namer.detect_many(namer.prepared))
-        finally:
-            namer.matcher = auto
+        expected = report_blob(oracle.detect(namer, namer.prepared))
         got = report_blob(namer.detect_many(namer.prepared, workers=workers))
         assert got == expected
 
@@ -184,6 +168,9 @@ class TestDifferentialReports:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_quarantine_parity_under_faults(self, trained_namer, workers):
+        """Under an armed fault plan every worker count quarantines the
+        same files, and every file that survives reports exactly what
+        the oracle reports for it."""
         plan = FaultPlan(
             [
                 FaultSpec(site="core.detect", rate=0.4),
@@ -192,97 +179,75 @@ class TestDifferentialReports:
             seed=5,
         )
         namer = trained_namer
-        auto = namer.matcher
 
-        def run():
+        def run(count):
             with FAULTS.armed(plan):
                 quarantine = Quarantine()
                 groups = namer.detect_many(
-                    namer.prepared, quarantine=quarantine, workers=workers
+                    namer.prepared, quarantine=quarantine, workers=count
                 )
-            return report_blob(groups), [
+            return groups, [
                 (r.path, r.stage, r.kind, r.repo) for r in quarantine.records
             ]
 
-        try:
-            namer.matcher = legacy_twin(auto)
-            expected_blob, expected_records = run()
-        finally:
-            namer.matcher = auto
-        got_blob, got_records = run()
-        assert expected_records, "plan must actually trip to prove parity"
-        assert got_records == expected_records
-        assert got_blob == expected_blob
+        serial_groups, serial_records = run(1)
+        groups, records = run(workers)
+        assert serial_records, "plan must actually trip to prove parity"
+        assert records == serial_records
+        assert report_blob(groups) == report_blob(serial_groups)
+        expected = oracle.detect(namer, namer.prepared)
+        dropped = {path for path, *_ in records}
+        survivors = [
+            (got, want)
+            for pf, got, want in zip(namer.prepared, groups, expected)
+            if pf.path not in dropped
+        ]
+        assert survivors
+        assert report_blob([g for g, _ in survivors]) == report_blob(
+            [w for _, w in survivors]
+        )
 
 
 class TestPruneParity:
     """The miner's prune counts through the shared automaton matcher."""
 
     def test_count_matches_backend_parity(self, trained_namer, statements):
-        patterns = trained_namer.matcher.patterns
-        path_lists = [paths for _, paths in statements]
-        auto_counts = _count_matches(path_lists, patterns)
-        legacy = PatternMatcher(
-            patterns,
-            prefix_counts=prefix_frequencies(path_lists),
-            use_automaton=False,
-        )
-        assert _count_matches_with(legacy, path_lists) == auto_counts
+        matcher = trained_namer.matcher
+        expected_m: Counter = Counter()
+        expected_s: Counter = Counter()
+        for _, paths in statements:
+            for idx, relation in oracle.relations(matcher.patterns, paths):
+                expected_m[idx] += 1
+                if relation is Relation.SATISFIED:
+                    expected_s[idx] += 1
+        rows = [matcher.prepare_ids(paths) for _, paths in statements]
+        match_counts, sat_counts = _count_matches(matcher, rows)
+        assert match_counts == expected_m
+        assert list(match_counts) == list(expected_m)
+        assert list(sat_counts.items()) == list(expected_s.items())
 
     def test_counts_anchor_independent(self, trained_namer, statements):
         """Corpus-rarity anchors and fallback anchors must count
         identically — the invariant that lets one shared matcher serve
         every shard layout and the cache."""
-        patterns = trained_namer.matcher.patterns
-        path_lists = [paths for _, paths in statements]
-        with_corpus = _count_matches(path_lists, patterns)
-        fallback_matcher = PatternMatcher(patterns)  # pattern-set rarity
-        assert _count_matches_with(fallback_matcher, path_lists) == with_corpus
+        tuned = trained_namer.matcher
+        fallback = PatternMatcher(
+            tuned.patterns, interner=tuned._automaton._interner
+        )
+        rows = [tuned.prepare_ids(paths) for _, paths in statements]
+        assert _count_matches(fallback, rows) == _count_matches(tuned, rows)
 
-    def test_mined_artifacts_identical_across_backends(self):
-        """mine() itself (stats index included) produces byte-identical
-        artifacts whether matchers compile the automaton or not."""
-        from repro.core.persistence import namer_to_document
-
+    def test_mined_artifacts_identical_across_backends(self, mined_document):
+        """mine() itself (stats index included) produces the artifact
+        the oracle miner produces."""
         corpus = generate_python_corpus(
             GeneratorConfig(num_repos=4, issue_rate=0.15, seed=9)
         )
         config = NamerConfig(
             mining=MiningConfig(min_pattern_support=6, min_path_frequency=4)
         )
-        namer = Namer(config)
-        namer.mine(corpus)
-        doc = namer_to_document(namer)
-        legacy_namer = Namer(config)
-        import repro.mining.matcher as matcher_mod
-        import repro.mining.miner as miner_mod
-
-        original = matcher_mod.PatternMatcher.__init__
-        miner_original = miner_mod.PatternMiner.__init__
-
-        def forced_legacy(
-            self, patterns, prefix_counts=None, use_automaton=True, **kwargs
-        ):
-            original(self, patterns, prefix_counts, use_automaton=False)
-
-        def forced_object_miner(self, *args, **kwargs):
-            # An automaton-less matcher has no ID scan, so the miner
-            # must take the object-path pipeline alongside it.
-            kwargs["use_interner"] = False
-            miner_original(self, *args, **kwargs)
-
-        matcher_mod.PatternMatcher.__init__ = forced_legacy
-        miner_mod.PatternMiner.__init__ = forced_object_miner
-        try:
-            legacy_namer.mine(corpus)
-        finally:
-            matcher_mod.PatternMatcher.__init__ = original
-            miner_mod.PatternMiner.__init__ = miner_original
-        legacy_doc = namer_to_document(legacy_namer)
-        doc.pop("phase_timings", None)
-        legacy_doc.pop("phase_timings", None)
-        assert json.dumps(doc, sort_keys=True) == json.dumps(
-            legacy_doc, sort_keys=True
+        assert mined_document(config, corpus) == mined_document(
+            config, corpus, oracle.OracleMiner
         )
 
 
@@ -292,32 +257,26 @@ class TestFallbackFrequencies:
     def test_fallback_counts_match_recounting(self, trained_namer):
         patterns = trained_namer.matcher.patterns
         expected = Counter(
-            d.prefix for p in patterns for d in p.deduction
+            d.prefix for p in patterns for d in sorted(p.deduction)
         )
         matcher = PatternMatcher(patterns)  # no corpus table: fallback
         assert matcher.prefix_counts == expected
         # First-seen key order is part of the merge/serialization
         # contract, not just the values.
         assert list(matcher.prefix_counts) == list(expected)
-        automaton = matcher._automaton
-        assert automaton is not None
-        assert automaton.deduction_prefix_counts() == expected
+        assert matcher._automaton.deduction_prefix_counts() == expected
 
     def test_artifact_load_builds_automaton(self, trained_namer, tmp_path):
-        from repro.core.persistence import (
-            load_namer,
-            namer_to_document,
-            save_document,
-        )
+        from repro.core.persistence import load_namer, save_document
 
         artifact = tmp_path / "namer.json"
         save_document(namer_to_document(trained_namer), str(artifact))
         loaded = load_namer(str(artifact))
-        assert loaded.matcher._automaton is not None
+        assert loaded.matcher._automaton._finalized
         expected = Counter(
             d.prefix
             for p in loaded.matcher.patterns
-            for d in p.deduction
+            for d in sorted(p.deduction)
         )
         assert loaded.matcher.prefix_counts == expected
         assert list(loaded.matcher.prefix_counts) == list(expected)
@@ -333,39 +292,48 @@ class TestMergeAndPickle:
             PatternMatcher(patterns[2 * third :]),
         ]
         merged = PatternMatcher.merge(parts)
-        assert merged._automaton is not None
         flat = PatternMatcher(patterns)
         assert merged.prefix_counts == flat.prefix_counts
         assert list(merged.prefix_counts) == list(flat.prefix_counts)
+        assert merged._automaton._accepts == flat._automaton._accepts
         for _, paths in statements[:100]:
             assert merged.relations(paths) == flat.relations(paths)
 
-    def test_merge_with_legacy_part_stays_legacy(self, trained_namer):
+    def test_merge_reuses_shared_interner(self, trained_namer):
         patterns = trained_namer.matcher.patterns
-        parts = [
-            PatternMatcher(patterns[:2]),
-            PatternMatcher(patterns[2:4], use_automaton=False),
-        ]
-        merged = PatternMatcher.merge(parts)
-        assert merged._automaton is None
+        shared = PathInterner()
+        merged = PatternMatcher.merge(
+            [
+                PatternMatcher(patterns[:2], interner=shared),
+                PatternMatcher(patterns[2:4], interner=shared),
+            ]
+        )
+        assert merged._automaton._interner is shared
+        mixed = PatternMatcher.merge(
+            [
+                PatternMatcher(patterns[:2], interner=shared),
+                PatternMatcher(patterns[2:4]),
+            ]
+        )
+        assert mixed._automaton._interner is not shared
 
     def test_pickle_roundtrip(self, trained_namer, statements):
         """A matcher that has already scanned must pickle without its
         scratch state and match identically on the other side — the
         spawn-platform shipping path."""
-        auto = trained_namer.matcher
+        matcher = trained_namer.matcher
         sample = statements[:50]
         for _, paths in sample[:5]:
-            auto.relations(paths)  # populate scan scratch
-        blob = pickle.dumps(auto)
+            matcher.relations(paths)  # populate scan scratch
+        blob = pickle.dumps(matcher)
         automaton_state = pickle.loads(
-            pickle.dumps(auto._automaton)
+            pickle.dumps(matcher._automaton)
         ).__dict__
         assert "_stamp" not in automaton_state
         loaded = pickle.loads(blob)
         for stmt, paths in sample:
-            assert loaded.relations(paths) == auto.relations(paths)
-            assert loaded.violations(stmt, paths) == auto.violations(
+            assert loaded.relations(paths) == matcher.relations(paths)
+            assert loaded.violations(stmt, paths) == matcher.violations(
                 stmt, paths
             )
 

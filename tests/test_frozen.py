@@ -3,7 +3,7 @@
 The frozen blob (``repro.mining.frozen``) is a pure serving-side
 acceleration: a namer loaded from it must be indistinguishable — byte
 for byte — from one decoded out of the JSON artifact, across every
-matcher configuration and worker count.  And because blobs live on
+way of building the matcher and every worker count.  And because blobs live on
 disks, every kind of damage (truncation, bit flips, bad magic, wrong
 schema era) must read as a *miss* that falls back to the JSON path,
 never as wrong output or a crash.
@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -113,17 +116,39 @@ class TestRoundtrip:
         bt = load_batch_tables(frozen_path)
         assert bt.n_nodes == len(namer.matcher._automaton._children)
 
-    def test_freeze_refuses_legacy_matchers(self, tmp_path, fitted_namer):
+    def test_freeze_refuses_unmined_namer(self, tmp_path):
         unmined = Namer(NamerConfig())
         with pytest.raises(FrozenError, match="mine"):
             freeze_namer(unmined, tmp_path / "x.frozen")
-        legacy = Namer(NamerConfig())
-        legacy.stats = fitted_namer.stats
-        legacy.matcher = PatternMatcher(
-            fitted_namer.matcher.patterns, use_automaton=False
+
+    def test_blob_bytes_identical_across_processes(self, tmp_path):
+        """Freezing the same mined namer in two processes (different
+        string hash seeds) writes byte-identical blobs."""
+        script = (
+            "import hashlib, sys\n"
+            "from repro.core.namer import Namer, NamerConfig\n"
+            "from repro.corpus.generator import GeneratorConfig, generate_python_corpus\n"
+            "from repro.mining.frozen import freeze_namer\n"
+            "from repro.mining.miner import MiningConfig\n"
+            "corpus = generate_python_corpus(GeneratorConfig(num_repos=4, seed=11))\n"
+            "mining = MiningConfig(min_pattern_support=6, min_path_frequency=4)\n"
+            "namer = Namer(NamerConfig(mining=mining))\n"
+            "namer.mine(corpus)\n"
+            "freeze_namer(namer, sys.argv[1])\n"
+            "print(hashlib.sha256(open(sys.argv[1], 'rb').read()).hexdigest())\n"
         )
-        with pytest.raises(FrozenError, match="automaton"):
-            freeze_namer(legacy, tmp_path / "y.frozen")
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / f"{seed}.frozen")],
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=300,
+            ).stdout
+            for seed in (0, 1)
+        }
+        assert len(digests) == 1
 
 
 # ----------------------------------------------------------------------
@@ -142,30 +167,30 @@ class TestDifferential:
             loaded.detect_many(prepared, workers=workers)
         ) == reference
 
-    @pytest.mark.parametrize(
-        "use_frozen,use_interner,use_automaton",
-        [
-            (False, True, True),
-            (True, False, True),
-            (False, False, True),
-            (False, True, False),
-        ],
-    )
-    def test_detect_parity_across_matcher_arms(
-        self, frozen_setup, use_frozen, use_interner, use_automaton
-    ):
+    @pytest.mark.parametrize("arm", ["corpus", "fallback", "merged", "pickled"])
+    def test_detect_parity_across_matcher_arms(self, frozen_setup, arm):
+        """Reports do not depend on how the matcher was built: corpus or
+        fallback anchors, merged from parts, or shipped through pickle."""
         namer, _, _, _ = frozen_setup
         prepared = list(namer.prepared)
         reference = report_blob(namer.detect_many(prepared))
         original = namer.matcher
-        try:
-            namer.matcher = PatternMatcher(
-                original.patterns,
-                prefix_counts=original._corpus_counts,
-                use_frozen=use_frozen,
-                use_interner=use_interner,
-                use_automaton=use_automaton,
+        patterns = original.patterns
+        if arm == "corpus":
+            rebuilt = PatternMatcher(
+                patterns, prefix_counts=original._corpus_counts
             )
+        elif arm == "fallback":
+            rebuilt = PatternMatcher(patterns)
+        elif arm == "merged":
+            half = len(patterns) // 2
+            rebuilt = PatternMatcher.merge(
+                [PatternMatcher(patterns[:half]), PatternMatcher(patterns[half:])]
+            )
+        else:
+            rebuilt = pickle.loads(pickle.dumps(original))
+        try:
+            namer.matcher = rebuilt
             assert report_blob(namer.detect_many(prepared)) == reference
         finally:
             namer.matcher = original

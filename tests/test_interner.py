@@ -1,28 +1,23 @@
-"""Differential suite: interned ID pipeline vs object-path pipeline.
+"""Differential suite: the interned ID pipeline against the spec oracle.
 
 :class:`PathInterner` replaces ``NamePath`` hashing in the mining and
 detection hot loops with dense integer IDs assigned in first-occurrence
-order.  Nothing about the *output* may differ from the object-path
-code — frequency tables, FP-tree transactions, pattern supports, prune
-counts, reports, quarantine records — for any worker count or cache
-temperature.  ``PatternMiner(use_interner=False)`` and
-``PatternMatcher(use_interner=False)`` keep the object pipeline alive
-precisely so these tests can hold the two against each other byte for
-byte, mirroring the automaton differential suite in
-``tests/test_automaton.py``.
+order.  Nothing about the *output* may differ from the definitions in
+``tests/oracle.py`` — frequency tables, pattern supports, prune counts,
+reports, quarantine records — for any worker count or cache
+temperature, nor when a capped serve-time interner refuses some paths
+and the scan walks them through the trie inline.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.core.namer import Namer, NamerConfig
-from repro.core.persistence import namer_to_document
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
 from repro.mining.interner import (
     INTERNER_SCHEMA,
@@ -30,14 +25,11 @@ from repro.mining.interner import (
     ShardPathCounts,
     merge_shard_path_counts,
 )
-from repro.mining.matcher import (
-    PatternMatcher,
-    prefix_frequencies,
-    prefix_frequencies_ids,
-)
+from repro.mining.matcher import PatternMatcher, prefix_frequencies_ids
 from repro.mining.miner import MiningConfig
 from repro.resilience.faults import FAULTS, FaultPlan, FaultSpec
 from repro.resilience.quarantine import Quarantine
+from tests import oracle
 
 SMALL = MiningConfig(min_pattern_support=8, min_path_frequency=4)
 
@@ -69,41 +61,14 @@ def path_lists(statements):
     return [paths for _, paths in statements]
 
 
-@contextmanager
-def object_pipeline():
-    """Force the object-path backend: every miner and matcher built
-    inside the block gets ``use_interner=False`` (the automaton stays
-    on — this isolates the interned representation, not the trie)."""
-    import repro.mining.matcher as matcher_mod
-    import repro.mining.miner as miner_mod
-
-    matcher_original = matcher_mod.PatternMatcher.__init__
-    miner_original = miner_mod.PatternMiner.__init__
-
-    def object_matcher(self, *args, **kwargs):
-        kwargs["use_interner"] = False
-        matcher_original(self, *args, **kwargs)
-
-    def object_miner(self, *args, **kwargs):
-        kwargs["use_interner"] = False
-        miner_original(self, *args, **kwargs)
-
-    matcher_mod.PatternMatcher.__init__ = object_matcher
-    miner_mod.PatternMiner.__init__ = object_miner
-    try:
-        yield
-    finally:
-        matcher_mod.PatternMatcher.__init__ = matcher_original
-        miner_mod.PatternMiner.__init__ = miner_original
-
-
-def object_twin(matcher: PatternMatcher) -> PatternMatcher:
-    """The object-scan matcher over the same patterns and rarity table."""
-    return PatternMatcher(
-        matcher.patterns,
-        prefix_counts=matcher._corpus_counts,
-        use_interner=False,
-    )
+def capped_twin(matcher: PatternMatcher, path_lists) -> PatternMatcher:
+    """The matcher over the same patterns and rarity table with a fresh
+    serve-time interner capped at half the corpus vocabulary: paths past
+    the cap resolve to ``-1`` and scan through the inline trie walk."""
+    twin = PatternMatcher(matcher.patterns, prefix_counts=matcher._corpus_counts)
+    vocabulary = {p for paths in path_lists for p in paths}
+    twin.attach_interner(PathInterner(), cap=len(vocabulary) // 2)
+    return twin
 
 
 def report_blob(groups) -> str:
@@ -288,13 +253,13 @@ class TestShardMerge:
 
 
 class TestFrequencyParity:
-    """The vectorized prefix-frequency table vs the Counter walk."""
+    """The vectorized prefix-frequency table vs the oracle's walk."""
 
     def test_prefix_frequencies_ids_parity(self, path_lists):
         interner, id_lists = PathInterner.build(path_lists)
         interner.ensure_symbolic()
         got = prefix_frequencies_ids(id_lists, interner)
-        expected = prefix_frequencies(path_lists)
+        expected = oracle.prefix_frequencies(path_lists)
         assert got == expected
         # First-seen key order is part of the merge/serialization
         # contract, not just the values.
@@ -305,70 +270,71 @@ class TestFrequencyParity:
 
 
 class TestMinedArtifactParity:
-    """mine() end to end: interned default vs object pipeline."""
+    """mine() end to end against the oracle miner: uncached, cold cache
+    and warm cache."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_documents_identical(self, workers):
+    def test_documents_identical(self, workers, tmp_path, mined_document):
         corpus = generate_python_corpus(
             GeneratorConfig(num_repos=4, issue_rate=0.15, seed=11)
         )
-        config = NamerConfig(
-            mining=MiningConfig(min_pattern_support=6, min_path_frequency=4),
-            workers=workers,
+        mining = MiningConfig(min_pattern_support=6, min_path_frequency=4)
+        expected = mined_document(
+            NamerConfig(mining=mining), corpus, oracle.OracleMiner
         )
-        interned = Namer(config)
-        interned.mine(corpus)
-        doc = namer_to_document(interned)
-        object_namer = Namer(config)
-        with object_pipeline():
-            object_namer.mine(corpus)
-        object_doc = namer_to_document(object_namer)
-        doc.pop("phase_timings", None)
-        object_doc.pop("phase_timings", None)
-        assert json.dumps(doc, sort_keys=True) == json.dumps(
-            object_doc, sort_keys=True
+        uncached = NamerConfig(mining=mining, workers=workers)
+        cached = NamerConfig(
+            mining=mining, workers=workers, cache_dir=str(tmp_path / "cache")
         )
+        assert mined_document(uncached, corpus) == expected
+        assert mined_document(cached, corpus) == expected  # cold
+        assert mined_document(cached, corpus) == expected  # warm
 
 
 class TestDifferentialDetect:
-    """Detection through pre-resolved IDs vs per-path object scans."""
+    """Detection through pre-resolved IDs — all interned, or partly
+    refused by a capped interner — against the oracle."""
 
-    def test_relations_parity(self, trained_namer, statements):
+    def test_relations_parity(self, trained_namer, statements, path_lists):
         interned = trained_namer.matcher
-        assert interned._automaton is not None
-        assert interned._automaton._interner is not None
-        twin = object_twin(interned)
-        assert twin._automaton._interner is None
-        assert twin.prepare_ids(statements[0][1]) is None
+        capped = capped_twin(interned, path_lists)
+        patterns = interned.patterns
         matched = 0
+        refused = 0
         for stmt, paths in statements:
-            ids = interned.prepare_ids(paths)
-            assert ids is not None
-            rel = interned.relations(paths, ids)
-            assert rel == twin.relations(paths)
-            # The auto-resolving route (no ids passed) agrees too.
-            assert interned.relations(paths) == rel
-            matched += len(rel)
-            assert interned.violations(stmt, paths, ids) == twin.violations(
-                stmt, paths
-            )
+            expected = oracle.relations(patterns, paths)
+            expected_violations = oracle.violations(patterns, stmt, paths)
+            for matcher in (interned, capped):
+                ids = matcher.prepare_ids(paths)
+                assert matcher.relations(paths, ids) == expected
+                # The auto-resolving route (no ids passed) agrees too.
+                assert matcher.relations(paths) == expected
+                assert matcher.violations(stmt, paths, ids) == expected_violations
+            refused += -1 in capped.prepare_ids(paths)
+            matched += len(expected)
         assert matched, "corpus must exercise the matchers"
+        assert refused, "the cap must refuse some paths"
 
     @pytest.mark.parametrize("workers", [1, 2, 7])
-    def test_byte_identical_reports(self, trained_namer, workers):
+    def test_byte_identical_reports(self, trained_namer, path_lists, workers):
         namer = trained_namer
+        expected = report_blob(oracle.detect(namer, namer.prepared))
         interned = namer.matcher
-        twin = object_twin(interned)
         try:
-            namer.matcher = twin
-            expected = report_blob(namer.detect_many(namer.prepared))
+            namer.matcher = capped_twin(interned, path_lists)
+            got = report_blob(
+                namer.detect_many(namer.prepared, workers=workers)
+            )
         finally:
             namer.matcher = interned
-        got = report_blob(namer.detect_many(namer.prepared, workers=workers))
         assert got == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_quarantine_parity_under_faults(self, trained_namer, workers):
+    def test_quarantine_parity_under_faults(
+        self, trained_namer, path_lists, workers
+    ):
+        """Capped and fully interned matchers quarantine the same files
+        under an armed fault plan, and report identically."""
         plan = FaultPlan(
             [
                 FaultSpec(site="core.detect", rate=0.4),
@@ -390,14 +356,14 @@ class TestDifferentialDetect:
             ]
 
         try:
-            namer.matcher = object_twin(interned)
-            expected_blob, expected_records = run()
+            namer.matcher = capped_twin(interned, path_lists)
+            capped_blob, capped_records = run()
         finally:
             namer.matcher = interned
         got_blob, got_records = run()
-        assert expected_records, "plan must actually trip to prove parity"
-        assert got_records == expected_records
-        assert got_blob == expected_blob
+        assert got_records, "plan must actually trip to prove parity"
+        assert capped_records == got_records
+        assert capped_blob == got_blob
 
     def test_pickle_keeps_interner_drops_tables(self, trained_namer):
         """A matcher crossing the process boundary keeps its vocabulary

@@ -1,13 +1,15 @@
-"""Tests for the anchor-indexed pattern matcher."""
+"""Tests for the selectivity-anchored pattern matcher: anchor choice,
+merging, and the pinned relation order (held against ``tests/oracle.py``)."""
 
 from collections import Counter
 
 from repro.core.namepath import extract_name_paths
-from repro.core.patterns import PatternKind, Relation, check_pattern
+from repro.core.patterns import PatternKind, Relation
 from repro.core.transform import transform_statement
 from repro.lang.python_frontend import parse_statement
-from repro.mining.matcher import PatternMatcher, prefix_frequencies
+from repro.mining.matcher import PatternMatcher
 from repro.mining.miner import MiningConfig, PatternMiner
+from tests import oracle
 
 
 def build_world():
@@ -27,20 +29,24 @@ def build_world():
     return stmts, patterns
 
 
+def anchors(matcher: PatternMatcher) -> dict:
+    """pattern index -> the deduction prefix its accept set hangs on."""
+    automaton = matcher._automaton
+    return {
+        idx: automaton._node_prefix[node]
+        for node, bucket in automaton._accepts.items()
+        for idx in bucket
+    }
+
+
 class TestPatternMatcher:
     def test_candidates_complete(self):
-        """The anchor filter must never miss a matching pattern."""
+        """The matcher must find exactly the patterns that match."""
         stmts, patterns = build_world()
         matcher = PatternMatcher(patterns)
         for stmt in stmts[:10]:
             paths = extract_name_paths(stmt, max_paths=10)
-            brute = {
-                id(p)
-                for p in patterns
-                if check_pattern(p, paths) is not Relation.NO_MATCH
-            }
-            filtered = {id(p) for p in matcher.candidates(paths)}
-            assert brute <= filtered
+            assert matcher.relations(paths) == oracle.relations(patterns, paths)
 
     def test_check_all_excludes_no_match(self):
         stmts, patterns = build_world()
@@ -73,13 +79,8 @@ class TestSelectivityIndex:
         prefix rather than the lexicographic minimum."""
         stmts, patterns = build_world()
         path_lists = [extract_name_paths(s, max_paths=10) for s in stmts]
-        counts = prefix_frequencies(path_lists)
-        matcher = PatternMatcher(patterns, prefix_counts=counts)
-        anchor_of = {
-            idx: anchor
-            for anchor, bucket in matcher._by_anchor.items()
-            for idx in bucket
-        }
+        counts = oracle.prefix_frequencies(path_lists)
+        anchor_of = anchors(PatternMatcher(patterns, prefix_counts=counts))
         for idx, pattern in enumerate(patterns):
             expected = min(
                 (d.prefix for d in pattern.deduction),
@@ -105,40 +106,29 @@ class TestSelectivityIndex:
         for stmt in stmts[:10]:
             paths = extract_name_paths(stmt, max_paths=10)
             brute = {
-                id(p)
-                for p in patterns
-                if check_pattern(p, paths) is not Relation.NO_MATCH
+                idx for idx, _ in oracle.relations(patterns, paths)
             }
-            filtered = {id(p) for p in matcher.candidates(paths)}
-            assert brute <= filtered
+            assert {idx for idx, _ in matcher.relations(paths)} == brute
 
     def test_enumeration_order_is_anchor_independent(self):
-        """Candidate order is part of the artifact-bytes contract: a
-        matcher with corpus-tuned anchors must enumerate the surviving
-        candidates of every statement in the same order as one with
-        fallback anchors, and any candidate either filter drops must be
-        a NO_MATCH."""
+        """Relation order is part of the artifact-bytes contract: a
+        matcher with corpus-tuned anchors must enumerate every
+        statement's matches in the same (oracle) order as one with
+        fallback anchors."""
         stmts, patterns = build_world()
         path_lists = [extract_name_paths(s, max_paths=10) for s in stmts]
         plain = PatternMatcher(patterns)
         tuned = PatternMatcher(
-            patterns, prefix_counts=prefix_frequencies(path_lists)
+            patterns, prefix_counts=oracle.prefix_frequencies(path_lists)
         )
         for paths in path_lists:
-            plain_idx = list(plain.candidate_indices(paths))
-            tuned_idx = list(tuned.candidate_indices(paths))
-            common = [i for i in plain_idx if i in set(tuned_idx)]
-            assert common == [i for i in tuned_idx if i in set(plain_idx)]
-            for only_one_side in set(plain_idx) ^ set(tuned_idx):
-                assert (
-                    check_pattern(patterns[only_one_side], paths)
-                    is Relation.NO_MATCH
-                )
+            expected = oracle.relations(patterns, paths)
+            assert plain.relations(paths) == expected
+            assert tuned.relations(paths) == expected
 
     def test_merge_equals_flat_build(self):
         """merge(shards) must reproduce a flat build exactly — anchors,
-        frequency tables, and per-statement candidate order — without
-        recounting from the pattern list."""
+        frequency tables, and per-statement relation order."""
         stmts, patterns = build_world()
         path_lists = [extract_name_paths(s, max_paths=10) for s in stmts]
         flat = PatternMatcher(patterns)
@@ -152,18 +142,16 @@ class TestSelectivityIndex:
         )
         assert merged.prefix_counts == flat.prefix_counts
         assert list(merged.prefix_counts) == list(flat.prefix_counts)
-        assert merged._by_anchor == flat._by_anchor
+        assert anchors(merged) == anchors(flat)
         for paths in path_lists:
-            assert list(merged.candidate_indices(paths)) == list(
-                flat.candidate_indices(paths)
-            )
+            assert merged.relations(paths) == flat.relations(paths)
 
     def test_merge_sums_corpus_tables(self):
         """Shards built over one corpus table merge to the same anchor
         choices as a flat build over that table (rarity order is
         scale-invariant under summation of identical tables)."""
         stmts, patterns = build_world()
-        counts = prefix_frequencies(
+        counts = oracle.prefix_frequencies(
             extract_name_paths(s, max_paths=10) for s in stmts
         )
         flat = PatternMatcher(patterns, prefix_counts=counts)
@@ -174,7 +162,7 @@ class TestSelectivityIndex:
                 PatternMatcher(patterns[half:], prefix_counts=counts),
             ]
         )
-        assert merged._by_anchor == flat._by_anchor
+        assert anchors(merged) == anchors(flat)
 
     def test_duplicate_prefix_orders_at_first_occurrence(self):
         """A prefix appearing at two statement positions must order its
@@ -183,6 +171,5 @@ class TestSelectivityIndex:
         matcher = PatternMatcher(patterns)
         paths = extract_name_paths(stmts[0], max_paths=10)
         doubled = list(paths) + list(paths)
-        assert list(matcher.candidate_indices(doubled)) == list(
-            matcher.candidate_indices(paths)
-        )
+        assert matcher.relations(doubled) == matcher.relations(paths)
+        assert matcher.relations(doubled) == oracle.relations(patterns, doubled)

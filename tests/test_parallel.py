@@ -167,7 +167,10 @@ class TestProfiler:
         profiler = PhaseProfiler()
         miner = PatternMiner(SMALL, confusing_pairs=[("True", "Equal")])
         miner.mine(idiom_corpus(20), PatternKind.CONFUSING_WORD, profiler=profiler)
+        # Without caller-supplied paths the miner extracts and interns
+        # them itself, under an "intern" row.
         assert {row.phase for row in profiler.rows()} == {
+            "intern",
             "frequency",
             "growth",
             "generate",
